@@ -15,6 +15,7 @@ x.f(y) = f(x^-1 y) - f(x^-1); for Busemann tables this is x.b_z = b_{xz}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
@@ -22,6 +23,7 @@ from typing import Any
 
 from .errors import (
     AdditivityViolation,
+    BudgetExhausted,
     DomainTooSmall,
     GeneratorsDoNotGenerate,
     MalformedSpec,
@@ -252,7 +254,17 @@ class GroupSpec:
 
 
 class CayleyGraph(RootedGraph):
-    """Cayley graph rooted at the identity; neighbors of x are x*s."""
+    """Cayley graph rooted at the identity; neighbors of x are x*s.
+
+    On the standard generating set the family's closed-form metric gives
+    every distance.  On a custom generating set, distances are word
+    lengths: the graph is vertex-transitive, so d(z, y) = |z^-1 y|, read
+    from the one memoized BFS ball about the identity, which grows layer by
+    layer as deeper words are read.  No BFS runs from any other source.
+    The budget bounds the ball a read needs: reading a word of length R
+    raises BudgetExhausted when |B_R| > budget, whatever the memo already
+    holds.
+    """
 
     def __init__(self, group, generators):
         self.group = group
@@ -267,6 +279,38 @@ class CayleyGraph(RootedGraph):
             lambda x: [group.mul(x, s) for s in self.generators],
             group.identity, degree_bound=len(self.generators),
             name=group.name, exact_distance=exact)
+
+    def _metric(self, z, budget, reach=None, targets=None):
+        """u -> |z^-1 u| from the ball memo; ``targets`` is not needed."""
+        mul, zinv, depth = self.group.mul, self.group.inv(z), self._depth
+        if reach is not None:
+            self._ensure_layers(reach, budget)
+            far = reach + 1
+
+            def dist(u):
+                d = depth.get(mul(zinv, u), far)
+                return d if d <= reach else far
+            return dist
+        # words no longer than `fits` need no budget check: |B_fits| <= budget
+        fits = bisect_right(self._ball_sizes, budget) - 1
+
+        def dist(u):
+            w = mul(zinv, u)
+            d = depth.get(w)
+            return d if d is not None and d <= fits else self._word_length(w, budget)
+        return dist
+
+    def _word_length(self, w, budget) -> int:
+        """|w|, growing the memo as far as needed; BudgetExhausted when
+        |B_|w|| > budget."""
+        while w not in self._depth:
+            r = len(self._layers)
+            self._ensure_layers(r, budget)
+            if not self._layers[r]:
+                raise BudgetExhausted(f"{w!r} is not reachable from the identity")
+        d = self._depth[w]
+        self._ensure_layers(d, budget)
+        return d
 
 
 def _default_ball(group, radius):

@@ -43,7 +43,7 @@ from .graphs import (
     DEFAULT_BUDGET,
     GeodesicRay,
     RootedGraph,
-    _bfs_depths,
+    _metric_from,
     canonical_geodesic,
     extend_ray,
     layer_decomposition,
@@ -1121,7 +1121,9 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     0..D of the unfolding of max_j |path ∩ paths[j]|.
 
     Dynamic program over (vertex, intersection count vector) states, with
-    counts packed 8 bits per path; exact because counts stay below 256.
+    the counts packed into one int, a field per path.  A count is at most
+    the number of layers, D + 1, so the field width is sized from the
+    deepest D (8 bits while D < 255).
     Returns {D: minimum} with None when no spanning path reaches depth D.
     """
     assert len(paths) <= 8, "count packing supports at most 8 paths"
@@ -1130,18 +1132,21 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     if not lg.is_periodic:
         top = min(top, lg.num_layers - 1)
         depths = [dd for dd in depths if dd <= top]
+    width = max(8, (top + 1).bit_length())
+    field_mask = (1 << width) - 1
 
     def hit_mask(i, name):
         m = 0
         for j, q in enumerate(paths):
             if q.name_at(i) == name:
-                m += 1 << (8 * j)
+                m += 1 << (width * j)
         return m
 
     def score(states):
         best = None
         for (_, packed) in states:
-            top_count = max((packed >> (8 * j)) & 255 for j in range(len(paths)))
+            top_count = max((packed >> (width * j)) & field_mask
+                            for j in range(len(paths)))
             best = top_count if best is None else min(best, top_count)
         return best
 
@@ -1223,12 +1228,8 @@ def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
         gap = radii[t + 1] - radii[t]
         pairs = []
         for x in layers[t]:
-            if g.exact_distance is not None:
-                pairs.extend((x, y) for y in layers[t + 1]
-                             if g.exact_distance(x, y) == gap)
-            else:
-                depth = _bfs_depths(g, x, radius=gap, budget=budget)
-                pairs.extend((x, y) for y in layers[t + 1] if depth.get(y) == gap)
+            dist = _metric_from(g, x, budget, reach=gap)
+            pairs.extend((x, y) for y in layers[t + 1] if dist(y) == gap)
         steps.append(pairs)
     return LayeredGraph.truncation(layers, steps, tags=radii)
 

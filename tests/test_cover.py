@@ -280,3 +280,12 @@ def test_cover_paths_realize_all_horofunctions(graphs):
         limits.add(approx.values)
     enumerated = set(h.enumerate_horofunction_restrictions(g, 5, 40, 8))
     assert limits == enumerated
+
+
+def test_intersection_minima_past_255_layers():
+    lg = corpus.two_spine()
+    res = h.monotone_cover(lg)
+    assert h.spanning_intersection_minima(lg, res.paths, (255, 256, 300)) == \
+        {255: 256, 256: 257, 300: 301}
+    assert h.spanning_intersection_minima(lg, res.paths, (10, 254)) == \
+        {10: 11, 254: 255}

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -358,3 +360,113 @@ def test_busemann_monotone_along_ray(graphs):
                 if prev is not None:
                     assert b <= prev
                 prev = b
+
+
+# ---------------------------------------------------------------- custom generators
+
+CUSTOM_SPECS = {
+    "integers-23": h.GroupSpec("integers", generators=(-3, -2, 2, 3)),
+    "integers-13": h.GroupSpec("integers", generators=(-3, -1, 1, 3)),
+    "ladder-diag": h.GroupSpec("integers-times-cyclic", modulus=2,
+                               generators=((-1, 0), (1, 0), (0, 1),
+                                           (-1, 1), (1, 1))),
+    "dihedral-3": h.GroupSpec("infinite-dihedral",
+                              generators=((0, 1), (1, 1), (2, 1))),
+    "lattice-diag": h.GroupSpec("integer-lattice-2d",
+                                generators=((-1, 0), (1, 0), (0, -1), (0, 1),
+                                            (-1, -1), (1, 1))),
+}
+
+
+def lattice_diag_length(v):
+    a, b = v
+    return max(abs(a), abs(b)) if a * b >= 0 else abs(a) + abs(b)
+
+
+@pytest.mark.parametrize("name", list(CUSTOM_SPECS))
+def test_word_length_oracle_matches_bfs(name):
+    g = h.cayley_graph(CUSTOM_SPECS[name])
+    assert g.exact_distance is None
+    ball = h.layer_decomposition(g, 4).ball()
+    rng = random.Random(11)
+    for _ in range(40):
+        x, y = rng.choice(ball), rng.choice(ball)
+        assert h.distance(g, x, y) == bfs_distance(g, x, y)
+
+
+def test_custom_enumeration_matches_brute_force():
+    g = h.cayley_graph(CUSTOM_SPECS["lattice-diag"])
+    r, depth, window = 2, 12, 4
+    got = h.enumerate_horofunction_restrictions(g, r, depth, window)
+    ld = h.layer_decomposition(g, depth)
+    ball = ld.ball(r)
+    expected = None
+    for n in range(max(2 * r + 1, depth - window), depth + 1):
+        seen = set()
+        for z in ld.layers[n]:
+            base = bfs_distance(g, z, g.basepoint)
+            seen.add(tuple(bfs_distance(g, z, y) - base for y in ball))
+        expected = seen if expected is None else expected & seen
+    assert sorted(m.values for m in got) == sorted(expected)
+    assert all(m.domain == ball for m in got)
+
+
+def test_custom_distance_budget():
+    w = (9, 0)                       # |w| = 9 on lattice-diag
+    size = len(h.layer_decomposition(h.cayley_graph(CUSTOM_SPECS["lattice-diag"]),
+                                     9).ball())
+    fresh = h.cayley_graph(CUSTOM_SPECS["lattice-diag"])
+    with pytest.raises(h.BudgetExhausted):
+        h.distance(fresh, fresh.basepoint, w, budget=size - 1)
+    assert h.distance(fresh, fresh.basepoint, w, budget=size) == 9
+    # a deeper call with a large budget warms the memo; the outcome holds
+    warm = h.cayley_graph(CUSTOM_SPECS["lattice-diag"])
+    assert h.distance(warm, (-20, 0), (20, 0)) == 40
+    with pytest.raises(h.BudgetExhausted):
+        h.distance(warm, warm.basepoint, w, budget=size - 1)
+    with pytest.raises(h.BudgetExhausted):
+        h.distance(warm, (1, 1), (10, 1), budget=size - 1)
+    assert h.distance(warm, warm.basepoint, w, budget=size) == 9
+
+
+def _run_threads(target, n=4):
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(target())
+        except Exception as exc:   # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == n
+    return results
+
+
+def test_shared_memo_concurrent_layers():
+    g = h.cayley_graph(FAMILY_SPECS["free2"])
+    sizes = _run_threads(lambda: h.layer_decomposition(g, 8).sphere_sizes)
+    expected = [1] + [4 * 3 ** (r - 1) for r in range(1, 9)]
+    assert sizes == [expected] * 4
+    assert h.layer_decomposition(g, 8).sphere_sizes == expected
+
+
+def test_shared_memo_concurrent_custom_distances():
+    g = h.cayley_graph(CUSTOM_SPECS["lattice-diag"])
+    rng = random.Random(5)
+    pairs = [((rng.randint(-15, 15), rng.randint(-15, 15)),
+              (rng.randint(-15, 15), rng.randint(-15, 15))) for _ in range(300)]
+    expected = [lattice_diag_length((y[0] - x[0], y[1] - x[1])) for x, y in pairs]
+    got = _run_threads(lambda: [h.distance(g, x, y) for x, y in pairs])
+    assert got == [expected] * 4

@@ -215,6 +215,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["horo", hall]) == 3                    # layered where graph needed
     free2 = write_spec(tmp_path, "f.json", {"kind": "cayley", "family": "free-2"})
     assert main(["horo", free2, "--radius", "8", "--budget", "2000"]) == 4
+    # custom generators {+-1, +-2}: |B_4| = 17 fits, but reading
+    # d(8, -1) = 5 needs |B_5| = 21
+    z12 = write_spec(tmp_path, "z12.json", {**Z_SPEC, "generators": [-2, -1, 1, 2]})
+    horo = ["horo", z12, "--radius", "1", "--depth", "4", "--window", "2"]
+    assert main(horo + ["--budget", "20"]) == 4
+    assert main(horo + ["--budget", "21"]) == 0
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
