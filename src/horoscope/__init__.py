@@ -39,6 +39,7 @@ from .errors import (
     NonConsecutiveEdge,
     NotGeodesic,
     NotInvariant,
+    NotMonotone,
     PrefixTooShort,
     RayNotExtendable,
     RayTooShort,

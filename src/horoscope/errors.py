@@ -6,7 +6,7 @@ Every error class carries the process exit code the CLI maps it to:
     3  malformed input specs
     4  exploration budget exhausted
     5  structural preconditions (layer sizes, matchings, empty graphs, ...)
-    6  geodesic-ray errors
+    6  geodesic-ray and monotone-path errors
     7  invariance / certificate violations
 """
 
@@ -34,7 +34,8 @@ class MalformedSubsequence(HoroscopeError):
 
 
 class BudgetExhausted(HoroscopeError):
-    """BFS exceeded its vertex-exploration cap without finishing."""
+    """A search hit its cap without finishing: a BFS its vertex budget, or the
+    stride analysis its number of boolean matrix powers."""
 
     exit_code = 4
 
@@ -75,6 +76,12 @@ class NoConstantSubsequence(HoroscopeError):
 
 class NotGeodesic(HoroscopeError):
     """Vertex sequence violates the geodesic-prefix invariants."""
+
+    exit_code = 6
+
+
+class NotMonotone(HoroscopeError):
+    """Names do not form a monotone path of the layered graph."""
 
     exit_code = 6
 

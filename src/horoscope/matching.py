@@ -31,23 +31,35 @@ class HallViolator:
 
 
 def maximum_matching(left, adjacency) -> dict:
-    """Maximum matching via augmenting paths; returns left -> right pairs."""
+    """Maximum matching via augmenting paths; returns left -> right pairs.
+
+    Kuhn's depth-first search from each left vertex in sorted order, run on
+    an explicit stack of [u, neighbor iterator, chosen v] frames, so that
+    augmenting paths may be longer than Python's recursion limit.
+    """
     match_left: dict = {}
     match_right: dict = {}
-
-    def augment(u, seen):
-        for v in adjacency.get(u, ()):
-            if v in seen:
+    for root in sorted(left):
+        seen = set()
+        stack = [[root, iter(adjacency.get(root, ())), None]]
+        while stack:
+            frame = stack[-1]
+            for v in frame[1]:
+                if v not in seen:
+                    seen.add(v)
+                    frame[2] = v
+                    break
+            else:
+                stack.pop()             # u has no augmenting path left
                 continue
-            seen.add(v)
-            if v not in match_right or augment(match_right[v], seen):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        return False
-
-    for u in sorted(left):
-        augment(u, set())
+            if v in match_right:
+                u = match_right[v]
+                stack.append([u, iter(adjacency.get(u, ())), None])
+                continue
+            for u, _, w in reversed(stack):    # flip the path, innermost first
+                match_left[u] = w
+                match_right[w] = u
+            break
     return match_left
 
 

@@ -17,6 +17,13 @@ one-period reachability relation is a boolean matrix whose powers repeat.
 On truncations, "infinite" is approximated by "spanning the truncation" and
 every result is flagged approximate.
 
+There is one relation type: the successor map ``{name: frozenset(names)}``
+keyed by the names of the source layer, in layer order.  A LayeredGraph
+builds it once per stored step (prefix steps, seam, period steps, wrap)
+when it is constructed, and ``forward_map(i)`` returns the stored map of
+unfolded step i; reachability over several steps (``relation_between``)
+composes these maps and has the same type.
+
 The monotone cover is the showpiece: k monotone paths such that every
 infinite monotone path shares infinitely many vertices with one of them,
 computed by induction on k via perfect matchings when they exist and via a
@@ -30,12 +37,14 @@ from math import gcd
 from typing import Any, NamedTuple
 
 from .errors import (
+    BudgetExhausted,
     EmptyGraph,
     MalformedSpec,
     MalformedSubsequence,
     NoConstantSubsequence,
     NoMatching,
     NonConsecutiveEdge,
+    NotMonotone,
     RayTooShort,
     UnequalLayers,
 )
@@ -88,11 +97,9 @@ class LayeredGraph:
             raise MalformedSpec(
                 f"{len(layers)} layers need {len(layers) - 1} edge steps, "
                 f"got {len(steps)}")
-        lg = cls(prefix_layers=layers, prefix_edges=steps, seam_edges=None,
-                 period_layers=(), period_edges=(),
-                 layer_tags=tuple(tags) if tags is not None else None)
-        lg._check_edges()
-        return lg
+        return cls(prefix_layers=layers, prefix_edges=steps, seam_edges=None,
+                   period_layers=(), period_edges=(),
+                   layer_tags=tuple(tags) if tags is not None else None)
 
     @classmethod
     def periodic(cls, period_layers, period_steps, wrap,
@@ -117,31 +124,39 @@ class LayeredGraph:
             raise MalformedSpec("prefix step count does not match prefix layers")
         if bool(prefix_layers) != (seam is not None):
             raise MalformedSpec("seam edges required exactly when a prefix is present")
-        lg = cls(prefix_layers=prefix_layers, prefix_edges=prefix_steps,
-                 seam_edges=frozenset((a, b) for a, b in seam) if seam is not None else None,
-                 period_layers=period_layers,
-                 period_edges=period_steps + (frozenset((a, b) for a, b in wrap),))
-        lg._check_edges()
-        return lg
+        return cls(prefix_layers=prefix_layers, prefix_edges=prefix_steps,
+                   seam_edges=frozenset((a, b) for a, b in seam) if seam is not None else None,
+                   period_layers=period_layers,
+                   period_edges=period_steps + (frozenset((a, b) for a, b in wrap),))
 
-    def _check_edges(self):
-        for i in range(self.num_prefix - 1):
-            self._check_step(self.prefix_edges[i], self.layer(i), self.layer(i + 1), f"prefix step {i}")
-        if self.seam_edges is not None:
-            self._check_step(self.seam_edges, self.prefix_layers[-1],
-                             self.period_layers[0], "seam")
-        for j in range(self.period_length):
-            src = self.period_layers[j]
-            dst = self.period_layers[(j + 1) % self.period_length]
-            self._check_step(self.period_edges[j], src, dst,
-                             "wrap" if j == self.period_length - 1 else f"period step {j}")
+    def __post_init__(self):
+        # one successor map per stored step, in the order of _stored_steps
+        layers = self.prefix_layers + self.period_layers
+        steps = self._stored_steps
+        succ = []
+        for s, pairs in enumerate(steps):
+            if s < self.num_prefix - 1:
+                where = f"prefix step {s}"
+            elif s == self.num_prefix - 1:
+                where = "seam"
+            elif s == len(steps) - 1:
+                where = "wrap"
+            else:
+                where = f"period step {s - self.num_prefix}"
+            dst = layers[s + 1] if s + 1 < len(layers) else self.period_layers[0]
+            succ.append(self._check_step(pairs, layers[s], dst, where))
+        object.__setattr__(self, "_succ", tuple(succ))
 
     @staticmethod
-    def _check_step(pairs, src, dst, where):
-        src, dst = set(src), set(dst)
+    def _check_step(pairs, src, dst, where) -> dict:
+        """Successor map {name: frozenset} of one step, checking its names."""
+        out = {a: set() for a in src}
+        dst = set(dst)
         for a, b in pairs:
-            if a not in src or b not in dst:
+            if a not in out or b not in dst:
                 raise MalformedSpec(f"{where}: edge ({a!r}, {b!r}) references unknown names")
+            out[a].add(b)
+        return {a: frozenset(t) for a, t in out.items()}
 
     # -- shape ---------------------------------------------------------------
 
@@ -177,31 +192,30 @@ class LayeredGraph:
             raise IndexError(f"layer {i} beyond truncation depth")
         return self.period_layers[(i - self.num_prefix) % self.period_length]
 
-    def edge_pairs(self, i: int) -> frozenset:
-        """Edges between unfolded layers i and i+1."""
+    @property
+    def _stored_steps(self) -> tuple[frozenset, ...]:
+        """Prefix steps, seam, period steps and wrap, in unfolded order."""
+        seam = () if self.seam_edges is None else (self.seam_edges,)
+        return self.prefix_edges + seam + self.period_edges
+
+    def _step_index(self, i: int) -> int:
+        """Position of unfolded step i (layer i to i+1) among the stored steps."""
         p = self.num_prefix
         if i < 0:
             raise IndexError(i)
-        if i < p - 1:
-            return self.prefix_edges[i]
+        if i < p - 1 or (i == p - 1 and self.is_periodic):
+            return i
         if not self.is_periodic:
             raise IndexError(f"no step {i} in a truncation of {p} layers")
-        if i == p - 1:
-            return self.seam_edges
-        return self.period_edges[(i - p) % self.period_length]
+        return p + (i - p) % self.period_length
+
+    def edge_pairs(self, i: int) -> frozenset:
+        """Edges between unfolded layers i and i+1."""
+        return self._stored_steps[self._step_index(i)]
 
     def forward_map(self, i: int) -> dict:
-        out = {a: set() for a in self.layer(i)}
-        for a, b in self.edge_pairs(i):
-            out[a].add(b)
-        return {a: tuple(sorted(t)) for a, t in out.items()}
-
-    def backward_map(self, i: int) -> dict:
-        """Edges of step i keyed by the layer-(i+1) endpoint."""
-        out = {b: set() for b in self.layer(i + 1)}
-        for a, b in self.edge_pairs(i):
-            out[b].add(a)
-        return {b: tuple(sorted(t)) for b, t in out.items()}
+        """Successors {name of layer i: frozenset of layer-(i+1) names}."""
+        return self._succ[self._step_index(i)]
 
     def unfold(self, depth: int) -> "LayeredGraph":
         """Truncation holding layers 0..depth of the unfolding."""
@@ -298,10 +312,10 @@ class MonotonePath:
         prev = None
         for i in range(self.start, last + 1):
             name = self.name_at(i)
-            assert name in lg.layer(i), f"{name!r} not in layer {i}"
-            if prev is not None:
-                assert (prev, name) in lg.edge_pairs(i - 1), \
-                    f"({prev!r}, {name!r}) not an edge at step {i - 1}"
+            if name not in lg.layer(i):
+                raise NotMonotone(f"{name!r} not in layer {i}")
+            if prev is not None and name not in lg.forward_map(i - 1)[prev]:
+                raise NotMonotone(f"({prev!r}, {name!r}) not an edge at step {i - 1}")
             prev = name
 
 
@@ -309,42 +323,32 @@ class MonotonePath:
 # relations between layers (monotone reachability)
 
 
-def _identity_rel(names):
-    return {a: frozenset((a,)) for a in names}
-
-
-def _compose(r1: dict, r2: dict) -> dict:
-    out = {}
-    for a, mids in r1.items():
-        acc = set()
-        for m in mids:
-            acc |= r2.get(m, frozenset())
-        out[a] = frozenset(acc)
-    return out
-
-
-def _step_rel(lg: LayeredGraph, i: int) -> dict:
-    out = {a: set() for a in lg.layer(i)}
-    for a, b in lg.edge_pairs(i):
-        out[a].add(b)
-    return {a: frozenset(t) for a, t in out.items()}
-
-
 def relation_between(lg: LayeredGraph, i: int, j: int) -> dict:
     """Monotone reachability relation from layer i to layer j >= i: maps each
     name of layer i to the layer-j names reachable by an ascending path."""
-    rel = _identity_rel(lg.layer(i))
+    rel = {a: frozenset((a,)) for a in lg.layer(i)}
     for t in range(i, j):
-        rel = _compose(rel, _step_rel(lg, t))
+        succ = lg.forward_map(t)
+        rel = {a: frozenset().union(*(succ[m] for m in mids))
+               for a, mids in rel.items()}
     return rel
-
-
-def _rel_key(rel):
-    return tuple(sorted((a, tuple(sorted(t))) for a, t in rel.items()))
 
 
 def _rel_pairs(rel):
     return [(a, b) for a, ts in rel.items() for b in ts]
+
+
+def _assemble(layers, steps, num_prefix=None, tags=None) -> LayeredGraph:
+    """Graph from unfolded layers and the steps that follow each of them: a
+    truncation when ``num_prefix`` is None (one step fewer than layers), else
+    periodic with the layers from ``num_prefix`` on as the block and the last
+    step as the wrap."""
+    if num_prefix is None:
+        return LayeredGraph.truncation(layers, steps, tags=tags)
+    p = num_prefix
+    return LayeredGraph.periodic(
+        layers[p:], steps[p:-1], steps[-1], prefix_layers=layers[:p],
+        prefix_steps=steps[:max(p - 1, 0)], seam=steps[p - 1] if p else None)
 
 
 def _perfect_matching(rel, names):
@@ -377,30 +381,12 @@ def _reduce_with_map(lg: LayeredGraph, selection):
         if start < 0 or stride < 1:
             raise MalformedSubsequence(f"bad stride selection {selection}")
         p, b = lg.num_prefix, lg.period_length
-        # selected indices below the prefix boundary become the new prefix
-        pre_idx = []
-        t = start
-        while t < p:
-            pre_idx.append(t)
-            t += stride
-        first_periodic = t
-        new_prefix = [lg.layer(i) for i in pre_idx]
-        new_prefix_steps = [_rel_pairs(relation_between(lg, pre_idx[u], pre_idx[u + 1]))
-                            for u in range(len(pre_idx) - 1)]
-        seam = None
-        if pre_idx:
-            seam = _rel_pairs(relation_between(lg, pre_idx[-1], first_periodic))
-        b_new = b // gcd(b, stride)
-        blocks = []
-        steps = []
-        for u in range(b_new):
-            a0 = first_periodic + u * stride
-            blocks.append(lg.layer(a0))
-            steps.append(_rel_pairs(relation_between(lg, a0, a0 + stride)))
-        reduced = LayeredGraph.periodic(
-            blocks, steps[:-1], steps[-1],
-            prefix_layers=new_prefix, prefix_steps=new_prefix_steps, seam=seam)
-        return reduced, selection
+        # selected indices below the prefix boundary become the new prefix;
+        # the new block holds b / gcd(b, stride) selected layers, then wraps
+        n_pre = len(range(start, p, stride))
+        idx = [start + u * stride for u in range(n_pre + b // gcd(b, stride) + 1)]
+        steps = [_rel_pairs(relation_between(lg, s, t)) for s, t in zip(idx, idx[1:])]
+        return _assemble([lg.layer(i) for i in idx[:-1]], steps, n_pre), selection
 
     idx = tuple(selection)
     if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
@@ -408,8 +394,7 @@ def _reduce_with_map(lg: LayeredGraph, selection):
     if not lg.is_periodic and idx[-1] >= lg.num_layers:
         raise MalformedSubsequence(f"selection exceeds truncation depth {lg.num_layers}")
     layers = [lg.layer(i) for i in idx]
-    steps = [_rel_pairs(relation_between(lg, idx[u], idx[u + 1]))
-             for u in range(len(idx) - 1)]
+    steps = [_rel_pairs(relation_between(lg, s, t)) for s, t in zip(idx, idx[1:])]
     tags = tuple(lg.layer_tags[i] for i in idx) if lg.layer_tags else None
     return LayeredGraph.truncation(layers, steps, tags=tags), idx
 
@@ -445,13 +430,20 @@ class PruneResult:
     approximate: bool
     dropped: tuple
 
-    @property
-    def equal_size_selection(self):
-        return self.selection
+
+def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
+    """Subgraph on the names keep[i] of each stored layer i (every layer of a
+    truncation; the prefix and one block of a periodic graph)."""
+    p = lg.num_prefix if lg.is_periodic else None
+    ends = list(keep) + ([keep[p]] if lg.is_periodic else [])  # wrap: block layer 0
+    steps = [[(a, b) for a, b in lg.edge_pairs(i) if a in ends[i] and b in ends[i + 1]]
+             for i in range(len(ends) - 1)]
+    return _assemble([tuple(sorted(s)) for s in keep], steps, p, tags=lg.layer_tags)
 
 
-def _restrict_pairs(pairs, src_keep, dst_keep):
-    return [(a, b) for a, b in pairs if a in src_keep and b in dst_keep]
+def _dropped(lg: LayeredGraph, keep) -> tuple:
+    return tuple(sorted((i, a) for i, kept in enumerate(keep)
+                        for a in lg.layer(i) if a not in kept))
 
 
 def prune_to_spanning(lg: LayeredGraph) -> PruneResult:
@@ -470,10 +462,7 @@ def prune_to_spanning(lg: LayeredGraph) -> PruneResult:
 
 def _prune_periodic(lg: LayeredGraph) -> PruneResult:
     p, b = lg.num_prefix, lg.period_length
-    block_rel = [_step_rel(lg, p + j) for j in range(b)]
-    one_period = _identity_rel(lg.period_layers[0])
-    for j in range(b):
-        one_period = _compose(one_period, block_rel[j])
+    one_period = relation_between(lg, p, p + b)
     # names with arbitrarily long forward walks: co-inductive trimming
     alive = set(lg.period_layers[0])
     while True:
@@ -483,81 +472,48 @@ def _prune_periodic(lg: LayeredGraph) -> PruneResult:
         alive = nxt
     if not alive:
         raise EmptyGraph("no infinite monotone path survives pruning")
-    keep = [set() for _ in range(b)]
-    keep[0] = alive
-    tail = alive
-    for j in range(b - 1, 0, -1):
-        tail = {a for a in lg.period_layers[j] if block_rel[j][a] & tail}
-        keep[j] = tail
+    # walk back from block layer 0 of the next copy; at layer p this gives
+    # alive again, since a name reaching alive in one period is never trimmed
+    keep = [set() for _ in range(p + b)] + [alive]
+    for i in range(p + b - 1, -1, -1):
+        succ = lg.forward_map(i)
+        keep[i] = {a for a in lg.layer(i) if succ[a] & keep[i + 1]}
+    keep.pop()
 
-    keep_prefix = [set() for _ in range(p)]
-    if p:
-        seam = lg.seam_edges
-        keep_prefix[p - 1] = {a for a, bb in seam if bb in keep[0]}
-        for i in range(p - 2, -1, -1):
-            nxt = keep_prefix[i + 1]
-            keep_prefix[i] = {a for a, bb in lg.prefix_edges[i] if bb in nxt}
-
-    dropped = tuple(sorted(
-        [(i, a) for i in range(p) for a in lg.prefix_layers[i]
-         if a not in keep_prefix[i]]
-        + [(p + j, a) for j in range(b) for a in lg.period_layers[j]
-           if a not in keep[j]]))
-
-    new_prefix = [tuple(sorted(keep_prefix[i])) for i in range(p)]
-    new_prefix_steps = [_restrict_pairs(lg.prefix_edges[i], keep_prefix[i],
-                                        keep_prefix[i + 1])
-                        for i in range(p - 1)]
-    new_seam = (_restrict_pairs(lg.seam_edges, keep_prefix[p - 1], keep[0])
-                if p else None)
-    new_blocks = [tuple(sorted(keep[j])) for j in range(b)]
-    new_steps = [_restrict_pairs(lg.period_edges[j], keep[j], keep[(j + 1) % b])
-                 for j in range(b)]
-    pruned = LayeredGraph.periodic(
-        new_blocks, new_steps[:-1], new_steps[-1],
-        prefix_layers=new_prefix, prefix_steps=new_prefix_steps, seam=new_seam)
-
-    period_sizes = [len(keep[j]) for j in range(b)]
-    all_sizes = [len(s) for s in keep_prefix] + period_sizes
-    if len(set(all_sizes)) <= 1:
+    sizes = [len(s) for s in keep]
+    period_sizes = sizes[p:]
+    if len(set(sizes)) <= 1:
         selection = None
     elif len(set(period_sizes)) == 1:
         selection = Stride(p, 1)
     else:
         j_star = min(range(b), key=lambda j: (period_sizes[j], j))
         selection = Stride(p + j_star, b)
-    return PruneResult(pruned, selection, approximate=False, dropped=dropped)
+    return PruneResult(_restricted(lg, keep), selection, approximate=False,
+                       dropped=_dropped(lg, keep))
 
 
 def _prune_truncation(lg: LayeredGraph) -> PruneResult:
     d = lg.num_layers
-    fwd = [set() for _ in range(d)]
-    fwd[d - 1] = set(lg.layer(d - 1))
+    fwd = [set() for _ in range(d - 1)] + [set(lg.layer(d - 1))]
     for i in range(d - 2, -1, -1):
-        rel = _step_rel(lg, i)
-        fwd[i] = {a for a in lg.layer(i) if rel[a] & fwd[i + 1]}
-    back = [set() for _ in range(d)]
-    back[0] = set(lg.layer(0))
-    for i in range(1, d):
-        prev = back[i - 1]
-        pairs = lg.edge_pairs(i - 1)
-        back[i] = {bb for a, bb in pairs if a in prev}
-    keep = [fwd[i] & back[i] for i in range(d)]
+        succ = lg.forward_map(i)
+        fwd[i] = {a for a in lg.layer(i) if succ[a] & fwd[i + 1]}
+    back = [set(lg.layer(0))]
+    for i in range(d - 1):
+        succ = lg.forward_map(i)
+        back.append(set().union(*(succ[a] for a in back[i])))
+    keep = [f & bk for f, bk in zip(fwd, back)]
     if not any(keep):
         raise EmptyGraph("no monotone path spans the truncation")
-    dropped = tuple(sorted((i, a) for i in range(d) for a in lg.layer(i)
-                           if a not in keep[i]))
-    layers = [tuple(sorted(keep[i])) for i in range(d)]
-    steps = [_restrict_pairs(lg.edge_pairs(i), keep[i], keep[i + 1])
-             for i in range(d - 1)]
-    pruned = LayeredGraph.truncation(layers, steps, tags=lg.layer_tags)
     sizes = [len(k) for k in keep]
     if len(set(sizes)) <= 1:
         selection = None
     else:
         smallest = min(sizes)
         selection = tuple(i for i in range(d) if sizes[i] == smallest)
-    return PruneResult(pruned, selection, approximate=True, dropped=dropped)
+    return PruneResult(_restricted(lg, keep), selection, approximate=True,
+                       dropped=_dropped(lg, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +619,7 @@ class _FailInfo(NamedTuple):
     V: tuple
 
 
-_POWER_CAP = 4096  # safety only; powers of a k x k boolean matrix repeat long before
+_POWER_CAP = 4096  # powers tried per phase before giving up with BudgetExhausted
 
 
 def _stride_analysis(lg: LayeredGraph):
@@ -683,28 +639,31 @@ def _stride_analysis(lg: LayeredGraph):
     p, b = lg.num_prefix, lg.period_length
     names = [lg.period_layers[j] for j in range(b)]
     assert all(names), "empty block layer: prune first"
-    one_period = []
-    for j in range(b):
-        rel = _identity_rel(names[j])
-        for t in range(b):
-            rel = _compose(rel, _step_rel(lg, p + j + t))
-        one_period.append(rel)
+    one_period = [relation_between(lg, p + j, p + j + b) for j in range(b)]
 
     power = [None] * b
-    history = [dict() for _ in range(b)]   # rel key -> q
+    history = [dict() for _ in range(b)]   # successor sets in layer order -> q
     cycle_of = [None] * b                  # (pre_period, cycle_len)
     matrices = [dict() for _ in range(b)]  # q -> relation
     q = 0
     while True:
         q += 1
-        assert q <= _POWER_CAP, "boolean matrix powers failed to cycle"
         progress = False
         for j in range(b):
             if cycle_of[j] is not None:
                 continue
+            if q > _POWER_CAP:
+                raise BudgetExhausted(
+                    f"powers of the one-period relation at phase {j} did not "
+                    f"cycle within {_POWER_CAP} periods")
             progress = True
-            power[j] = one_period[j] if q == 1 else _compose(power[j], one_period[j])
-            key = _rel_key(power[j])
+            if q == 1:
+                power[j] = one_period[j]
+            else:
+                step = one_period[j]
+                power[j] = {a: frozenset().union(*(step[m] for m in mids))
+                            for a, mids in power[j].items()}
+            key = tuple(power[j].values())
             if key in history[j]:
                 q1 = history[j][key]
                 cycle_of[j] = (q1, q - q1)
@@ -743,34 +702,37 @@ def find_hall_failure(lg: LayeredGraph) -> HallFailureWitness | None:
             return None
         return _witness_from_fail(lg, res)
 
-    d = lg.num_layers
-    for n in range(d - 1):
-        later = [m for m in range(n + 1, d) if len(lg.layer(m)) == len(lg.layer(n))]
-        if not later:
-            continue
-        certs = []
-        for m in later:
-            res = matching_or_violator(lg.layer(n), lg.layer(m),
-                                       relation_between(lg, n, m))
-            if isinstance(res, Matching):
-                certs = None
-                break
-            certs.append((m, res))
-        if certs:
-            classes = {}
-            for m, cert in certs:
-                key = (cert.subset, len(cert.neighborhood))
-                classes.setdefault(key, []).append((m, cert.neighborhood))
-            # largest class, then least (U, |V|): deterministic
-            (u_set, vlen), members = sorted(
-                classes.items(), key=lambda kv: (-len(kv[1]), kv[0]))[0]
-            return HallFailureWitness(
-                base_layer=n,
-                witness_layers=tuple(m for m, _ in members),
-                U=u_set,
-                V=tuple((m, v) for m, v in members),
-                sizes=(len(u_set), vlen))
+    for n in range(lg.num_layers - 1):
+        witness = _truncation_witness(lg, n)
+        if witness is not None:
+            return witness
     return None
+
+
+def _truncation_witness(lg: LayeredGraph, n: int) -> HallFailureWitness | None:
+    """Hall-failure witness of base layer n against every deeper layer of the
+    same size, or None when one of them matches n (or there is none).
+
+    The Hall certificates are grouped by (U, |V|); the witness is the largest
+    group, ties going to the least (U, |V|), so the choice is deterministic.
+    """
+    classes: dict = {}
+    for m in range(n + 1, lg.num_layers):
+        if len(lg.layer(m)) != len(lg.layer(n)):
+            continue
+        cert = matching_or_violator(lg.layer(n), lg.layer(m),
+                                    relation_between(lg, n, m))
+        if isinstance(cert, Matching):
+            return None
+        key = (cert.subset, len(cert.neighborhood))
+        classes.setdefault(key, []).append((m, cert.neighborhood))
+    if not classes:
+        return None
+    (u_set, vlen), members = min(classes.items(),
+                                 key=lambda kv: (-len(kv[1]), kv[0]))
+    return HallFailureWitness(
+        base_layer=n, witness_layers=tuple(m for m, _ in members), U=u_set,
+        V=tuple(members), sizes=(len(u_set), vlen))
 
 
 def _witness_from_fail(lg: LayeredGraph, info: _FailInfo) -> HallFailureWitness:
@@ -834,14 +796,12 @@ def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     """Lexicographically least monotone path (layer i, u) -> (layer j, v)."""
     reach = {j: {v}}
     for t in range(j - 1, i, -1):
-        rel = _step_rel(lg, t)
-        reach[t] = {a for a in lg.layer(t) if rel[a] & reach[t + 1]}
+        succ = lg.forward_map(t)
+        reach[t] = {a for a in lg.layer(t) if succ[a] & reach[t + 1]}
     out = [u]
     cur = u
     for t in range(i, j):
-        rel = _step_rel(lg, t)
-        cands = rel[cur] & reach[t + 1] if t + 1 < j else (rel[cur] & {v})
-        cur = min(cands)
+        cur = min(lg.forward_map(t)[cur] & reach[t + 1])
         out.append(cur)
     return tuple(out)
 
@@ -920,8 +880,7 @@ def _extend_forward(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
     names = list(path.head)
     end = path.end
     while end < lg.num_layers - 1:
-        rel = _step_rel(lg, end)
-        nxt = rel[names[-1]]
+        nxt = lg.forward_map(end)[names[-1]]
         if not nxt:
             break
         names.append(min(nxt))
@@ -995,14 +954,14 @@ def _cover_uniform_periodic(g: LayeredGraph):
     mstart = g.num_prefix + res.phase + res.q0 * g.period_length
     mstride = res.cycle * g.period_length
     gm, lmapm = _reduce_with_map(g, Stride(mstart, mstride))
-    rel = _step_rel(gm, 0)                     # the wrap relation of gm
+    rel = gm.forward_map(0)                    # the wrap relation of gm
     all_names = gm.period_layers[0]
     v_names = tuple(sorted(res.V))
     w_names = tuple(sorted(set(all_names) - set(res.V)))
 
     def child(sub):
-        sub_rel = [(a, bb) for a, bb in _rel_pairs(rel)
-                   if a in set(sub) and bb in set(sub)]
+        keep = set(sub)
+        sub_rel = [(a, bb) for a in sub for bb in rel[a] if bb in keep]
         try:
             pruned = prune_to_spanning(_slp(sub, sub_rel)).graph
         except EmptyGraph:
@@ -1048,39 +1007,17 @@ def _cover_uniform_truncation(g: LayeredGraph):
         return paths, TraceNode(kind="match", k=k,
                                 selection=("layers", tuple(chain)))
 
-    n = chain[-1]
-    certs = []
-    for m in range(n + 1, d):
-        res = matching_or_violator(g.layer(n), g.layer(m),
-                                   relation_between(g, n, m))
-        assert isinstance(res, HallViolator)
-        certs.append((m, res))
-    classes: dict = {}
-    for m, cert in certs:
-        key = (cert.subset, len(cert.neighborhood))
-        classes.setdefault(key, []).append((m, cert.neighborhood))
-    (u_set, vlen), members = sorted(classes.items(),
-                                    key=lambda kv: (-len(kv[1]), kv[0]))[0]
-    ms = tuple(m for m, _ in members)
-    witness = HallFailureWitness(
-        base_layer=n, witness_layers=ms, U=u_set,
-        V=tuple((m, v) for m, v in members), sizes=(len(u_set), vlen))
-
+    # the chain stopped at n: no deeper layer matches n, so this is a witness
+    witness = _truncation_witness(g, chain[-1])
+    ms = witness.witness_layers
+    vlen = witness.sizes[1]
     gm, lmapm = _reduce_with_map(g, ms)
-    v_sets = [set(v) for _, v in members]
-
-    def sub_graph(layer_sets):
-        layers = [tuple(sorted(s)) for s in layer_sets]
-        steps = [_restrict_pairs(gm.edge_pairs(t), layer_sets[t], layer_sets[t + 1])
-                 for t in range(len(layer_sets) - 1)]
-        return LayeredGraph.truncation(layers, steps)
-
+    v_sets = [set(v) for _, v in witness.V]
     w_sets = [set(gm.layer(t)) - v_sets[t] for t in range(len(ms))]
 
     def child(layer_sets, expect):
         try:
-            sub = sub_graph(layer_sets)
-            res = monotone_cover(sub)
+            res = monotone_cover(_restricted(gm, layer_sets))
         except EmptyGraph:
             return [], TraceNode(kind="void", k=0), expect
         pad = expect - res.k
@@ -1092,24 +1029,13 @@ def _cover_uniform_truncation(g: LayeredGraph):
     spare = [a for a in gm.layer(0) if a not in covered0]
     spare += [a for a in gm.layer(0)]          # fallback pool, deterministic
     padded = tuple(spare[: pad_a + pad_b])
-    pad_paths = [_spanning_greedy(gm, u) for u in padded]
+    pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
     paths_m = paths_a + paths_b + pad_paths
     paths = [_expand_path(g, lmapm, q) for q in paths_m]
     trace = TraceNode(kind="split", k=k, witness=witness, v=vlen, w=k - vlen,
                       children=(trace_a, trace_b), padded=padded)
     assert len(paths) == k
     return paths, trace
-
-
-def _spanning_greedy(lg: LayeredGraph, start_name: Name) -> MonotonePath:
-    """Greedy forward path from (0, start_name) through a truncation."""
-    names = [start_name]
-    for t in range(lg.num_layers - 1):
-        nxt = _step_rel(lg, t)[names[-1]]
-        if not nxt:
-            break
-        names.append(min(nxt))
-    return MonotonePath(0, tuple(names))
 
 
 # ---------------------------------------------------------------------------
@@ -1123,10 +1049,10 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     Dynamic program over (vertex, intersection count vector) states, with
     the counts packed into one int, a field per path.  A count is at most
     the number of layers, D + 1, so the field width is sized from the
-    deepest D (8 bits while D < 255).
+    deepest D (8 bits while D < 255); Python ints bound neither the width
+    nor the number of paths.
     Returns {D: minimum} with None when no spanning path reaches depth D.
     """
-    assert len(paths) <= 8, "count packing supports at most 8 paths"
     depths = sorted(depths)
     top = depths[-1]
     if not lg.is_periodic:
@@ -1135,12 +1061,14 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     width = max(8, (top + 1).bit_length())
     field_mask = (1 << width) - 1
 
-    def hit_mask(i, name):
-        m = 0
+    def hit_masks(i):
+        """{name: one count per path through (layer i, name)}, packed."""
+        masks = {}
         for j, q in enumerate(paths):
-            if q.name_at(i) == name:
-                m += 1 << (width * j)
-        return m
+            name = q.name_at(i)
+            if name is not None:
+                masks[name] = masks.get(name, 0) + (1 << (width * j))
+        return masks
 
     def score(states):
         best = None
@@ -1151,17 +1079,19 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
         return best
 
     minima = {}
-    states = {(a, hit_mask(0, a)) for a in lg.layer(0)}
+    masks = hit_masks(0)
+    states = {(a, masks.get(a, 0)) for a in lg.layer(0)}
     for i in range(top + 1):
         if i in depths:
             minima[i] = score(states)
         if i == top:
             break
-        rel = _step_rel(lg, i)
+        succ = lg.forward_map(i)
+        masks = hit_masks(i + 1)
         nxt = set()
         for (a, packed) in states:
-            for bb in rel[a]:
-                nxt.add((bb, packed + hit_mask(i + 1, bb)))
+            for bb in succ[a]:
+                nxt.add((bb, packed + masks.get(bb, 0)))
         states = nxt
         if not states:
             for dd in depths:
@@ -1176,8 +1106,8 @@ def enumerate_spanning_paths(lg: LayeredGraph, depth: int):
     small fixtures; the DP above scales, this exists as its oracle."""
     partial = [[a] for a in lg.layer(0)]
     for i in range(depth):
-        rel = _step_rel(lg, i)
-        partial = [p + [bb] for p in partial for bb in sorted(rel[p[-1]])]
+        succ = lg.forward_map(i)
+        partial = [p + [bb] for p in partial for bb in sorted(succ[p[-1]])]
     return [tuple(p) for p in partial]
 
 

@@ -20,6 +20,20 @@ def graphs():
     return {name: h.cayley_graph(spec) for name, spec in FAMILY_SPECS.items()}
 
 
+@pytest.fixture
+def long_cycle_funnel():
+    """Names and wrap edges of a single-layer period: the Hall funnel f0, f1
+    -> f0 beside cycles of lengths 5, 7, 8, 9 and 11 (k = 42).  The powers of
+    its one-period relation cycle with period lcm = 27,720."""
+    names = ["f0", "f1"]
+    wrap = [("f0", "f0"), ("f1", "f0")]
+    for n in (5, 7, 8, 9, 11):
+        cyc = [f"c{n}_{i}" for i in range(n)]
+        names += cyc
+        wrap += [(cyc[i], cyc[(i + 1) % n]) for i in range(n)]
+    return names, wrap
+
+
 def bfs_distance(g, x, y, cap=200_000):
     """Independent BFS distance oracle over the neighbor oracle only."""
     if x == y:

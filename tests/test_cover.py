@@ -57,6 +57,20 @@ def test_dp_matches_brute_enumeration():
         assert dp[8] == brute_minimum(lg, res.paths, 8), name
 
 
+def test_dp_takes_more_than_eight_paths():
+    # the packed counts live in one Python int: no limit on the path count
+    lg = corpus.random_periodic(3, k=3, period=2)
+    paths = h.monotone_cover(lg).paths * 3
+    assert len(paths) == 9
+    assert h.spanning_intersection_minima(lg, paths, (8,)) == {8: 5}
+    assert brute_minimum(lg, paths, 8) == 5
+    lg = corpus.random_periodic(1, k=3, period=2)
+    first, *rest = h.monotone_cover(lg).paths
+    paths = [first] * 8 + rest
+    assert h.spanning_intersection_minima(lg, paths, (8,))[8] == \
+        brute_minimum(lg, paths, 8)
+
+
 def test_hall_funnel_cover_paths():
     lg = corpus.hall_funnel()
     res = h.monotone_cover(lg)

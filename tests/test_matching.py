@@ -1,7 +1,12 @@
 import itertools
 import random
 
-from horoscope.matching import HallViolator, Matching, matching_or_violator
+from horoscope.matching import (
+    HallViolator,
+    Matching,
+    matching_or_violator,
+    maximum_matching,
+)
 
 
 def brute_force_has_perfect_matching(left, right, adj):
@@ -61,6 +66,44 @@ def test_random_instances_against_brute_force():
                 nbhd.update(adj[u])
             assert set(res.neighborhood) == nbhd
             assert len(nbhd) < len(res.subset)
+
+
+def recursive_kuhn(left, adjacency):
+    """Reference: the textbook recursive augmenting-path search."""
+    match_left, match_right = {}, {}
+
+    def augment(u, seen):
+        for v in adjacency.get(u, ()):
+            if v in seen:
+                continue
+            seen.add(v)
+            if v not in match_right or augment(match_right[v], seen):
+                match_left[u] = v
+                match_right[v] = u
+                return True
+        return False
+
+    for u in sorted(left):
+        augment(u, set())
+    return match_left
+
+
+def test_same_matching_as_recursive_search():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randrange(1, 9)
+        adj = {u: rng.sample(range(n), rng.randrange(0, n + 1)) for u in range(n)}
+        assert maximum_matching(range(n), adj) == recursive_kuhn(range(n), adj)
+
+
+def test_long_augmenting_paths_do_not_recurse():
+    # left i sees i-1 and i: matching i takes i-1 first, and each new left
+    # vertex then augments along a path through every earlier one
+    k = 3000
+    adj = {i: [j for j in (i - 1, i) if j >= 0] for i in range(k)}
+    assert maximum_matching(range(k), adj) == {i: i for i in range(k)}
+    res = matching_or_violator(range(k), range(k), adj)
+    assert res == Matching(tuple((i, i) for i in range(k)))
 
 
 def test_deterministic():

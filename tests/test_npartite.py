@@ -74,6 +74,27 @@ def test_unfold_indexing():
         assert flat.edge_pairs(i) == lg.period_edges[0]
 
 
+def test_forward_map_is_built_once_per_stored_step():
+    lg = corpus.prefix_feeder()                # prefix s, x y; block a b
+    assert lg.forward_map(0) == {"s": frozenset({"x", "y"})}
+    assert lg.forward_map(1) == {"x": frozenset({"a", "b"}), "y": frozenset({"b"})}
+    assert lg.forward_map(2) is lg.forward_map(9)   # the wrap, stored once
+    for i in range(6):
+        assert {(a, b) for a, bs in lg.forward_map(i).items() for b in bs} \
+            == lg.edge_pairs(i)
+    with pytest.raises(IndexError):
+        corpus.two_spine().unfold(3).forward_map(3)
+
+
+def test_validate_raises_typed_errors():
+    lg = corpus.two_spine()
+    h.MonotonePath(0, ("a", "a", "a")).validate(lg)
+    with pytest.raises(h.NotMonotone):
+        h.MonotonePath(0, ("a", "b")).validate(lg)     # no edge a -> b
+    with pytest.raises(h.NotMonotone):
+        h.MonotonePath(0, ("a", "z")).validate(lg)     # z in no layer
+
+
 # ---------------------------------------------------------------- pruning
 
 
@@ -279,6 +300,15 @@ def test_hall_witness_invariants_by_enumeration():
             if m in dict(w.V):
                 assert reached == set(w.v_at(m))
             assert len(reached) < len(w.U)
+
+
+def test_stride_analysis_power_cap_is_budget_exhausted(long_cycle_funnel):
+    names, wrap = long_cycle_funnel
+    lg = h.LayeredGraph.periodic([names], [], wrap)
+    with pytest.raises(h.BudgetExhausted, match="did not cycle within 4096"):
+        h.find_hall_failure(lg)
+    with pytest.raises(h.BudgetExhausted):
+        h.monotone_cover(lg)
 
 
 def test_hall_failure_truncation_mode():

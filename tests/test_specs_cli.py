@@ -205,7 +205,7 @@ def test_cli_out_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["k"] == 2
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     missing = str(tmp_path / "nope.json")
     assert main(["growth", missing]) == 3
     z = write_spec(tmp_path, "z.json", Z_SPEC)
@@ -221,6 +221,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     horo = ["horo", z12, "--radius", "1", "--depth", "4", "--window", "2"]
     assert main(horo + ["--budget", "20"]) == 4
     assert main(horo + ["--budget", "21"]) == 0
+    # one-period powers of period 27,720 run past the 4,096-power cap
+    names, wrap = long_cycle_funnel
+    funnel = write_spec(tmp_path, "funnel42.json", {
+        "kind": "layered", "period": {"layers": [names], "edges": []},
+        "wrap": [list(e) for e in wrap]})
+    assert main(["cover", funnel]) == 4
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
