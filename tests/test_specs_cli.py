@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -230,3 +231,63 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------- report bytes
+
+LATTICE_DIAG_SPEC = {"kind": "cayley", "family": "integer-lattice-2d",
+                     "generators": [[-1, 0], [1, 0], [0, -1], [0, 1],
+                                    [-1, -1], [1, 1]]}
+LADDER_SPEC = {"kind": "cayley", "family": "integers-times-cyclic", "modulus": 2}
+FREE2_SPEC = {"kind": "cayley", "family": "free-2"}
+
+# sha256 of the default reports: int tokens (integers), string tokens
+# (free-2), pair tokens (ladder, dihedral, lattice with custom generators,
+# and generator keys of the orbit action table), a Hall witness in a cover
+# trace, and one CSV report
+GOLDEN_REPORTS = [
+    pytest.param(
+        Z_SPEC, ["growth"],
+        "810d9d65b37fceb89d8ec699139445bac811979fb543b4ed32840283778c15db",
+        id="growth-integers"),
+    pytest.param(
+        Z_SPEC, ["growth", "--format", "csv"],
+        "0fdfe5c34c7cf2c54b7f6713346564d7877d1a67c1dd0f0313ad04612ebf9cb2",
+        id="growth-integers-csv"),
+    pytest.param(
+        FREE2_SPEC, ["growth", "--ball", "6"],
+        "18e6972255a282211a9db915cc8f72dae346747f4f4b0920820a2b63eed7d394",
+        id="growth-free2"),
+    pytest.param(
+        Z_SPEC, ["horo", "--radius", "4"],
+        "88ad5d057b8bba2190f56403eb37ef58d49b849c49efddc7178eaaa7c1c047ef",
+        id="horo-integers"),
+    pytest.param(
+        FREE2_SPEC, ["horo", "--radius", "1"],
+        "dcd7cd22566d71ff201ccc07f698fed0e6e2995264cf827da64bd9ac1b775c8f",
+        id="horo-free2"),
+    pytest.param(
+        LATTICE_DIAG_SPEC, ["horo", "--radius", "2"],
+        "243f5252a6f4065e2e8c1611f3461d5d3a94fddb3bbe617f8011148a9cec41e7",
+        id="horo-lattice-diag"),
+    pytest.param(
+        DIHEDRAL_SPEC, ["orbit"],
+        "f85530406e32abbe4b8a8f8233e68f060596f61844c1f83a5ef45da9bee5a77c",
+        id="orbit-dihedral"),
+    pytest.param(
+        LADDER_SPEC, ["reroot", "--depth", "10", "--ball", "4"],
+        "d331c74b1cdef04ca1c3d5260c1c63144ffba389b6593e14c8a8a12c9610e6ed",
+        id="reroot-ladder"),
+    pytest.param(
+        HALL_SPEC, ["cover"],
+        "a8a17096c6688ed1e57738b1ec2b33460c98eb9b3e9f012db27fcc897ff14a0f",
+        id="cover-hall"),
+]
+
+
+@pytest.mark.parametrize("spec,argv,digest", GOLDEN_REPORTS)
+def test_cli_report_bytes(tmp_path, capsys, spec, argv, digest):
+    path = write_spec(tmp_path, "spec.json", spec)
+    code, out = run_cli(capsys, argv[0], path, *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
