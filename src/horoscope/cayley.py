@@ -16,7 +16,6 @@ x.f(y) = f(x^-1 y) - f(x^-1); for Busemann tables this is x.b_z = b_{xz}.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Any
@@ -313,21 +312,6 @@ class CayleyGraph(RootedGraph):
         return d
 
 
-def _default_ball(group, radius):
-    seen = {group.identity}
-    frontier = [group.identity]
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for s in group.default_generators():
-                u = group.mul(v, s)
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return seen
-
-
 def cayley_graph(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> CayleyGraph:
     """Build the rooted Cayley graph for a group spec.
 
@@ -349,9 +333,10 @@ def cayley_graph(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> CayleyGraph:
         raise MalformedSpec("generating set is not closed under inversion")
     g = CayleyGraph(group, gens)
     if g.generators != tuple(sorted(group.default_generators())):
-        small = _default_ball(group, 2)
+        small = layer_decomposition(
+            CayleyGraph(group, group.default_generators()), 2).ball()
         ld = layer_decomposition(g, 12, budget)
-        missing = [v for v in sorted(small) if v not in ld]
+        missing = [v for v in small if v not in ld]
         if missing:
             raise GeneratorsDoNotGenerate(
                 f"{len(missing)} small element(s) missing from B_12, "
@@ -409,9 +394,6 @@ class OrbitResult:
     index_estimate: int
     radius: int
     images: tuple[tuple[Any, int], ...] = field(repr=False)  # x -> member index of x.fixed
-
-    def image_of(self, x) -> int:
-        return dict(self.images)[x]
 
 
 def orbit_analysis(g: CayleyGraph, horos, R: int,

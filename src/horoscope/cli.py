@@ -21,7 +21,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from .cayley import extract_homomorphism, orbit_analysis
 from .errors import BudgetExhausted, HoroscopeError, MalformedSpec
@@ -31,6 +30,7 @@ from .graphs import (
     distance,
     enumerate_horofunction_restrictions,
     layer_decomposition,
+    recurring_sphere_size,
     reroot_ray,
 )
 from .npartite import LayeredGraph, monotone_cover, spanning_intersection_minima
@@ -41,7 +41,6 @@ from .specs import (
     load_spec,
     object_from_spec,
     orbit_jsonable,
-    token_jsonable,
     valuemap_jsonable,
     witness_hom_jsonable,
 )
@@ -50,28 +49,15 @@ RECURRENCE_THRESHOLD = 5   # sphere-size recurrences needed for a linear verdict
 LINEAR_TOLERANCE = 2       # |B_R| <= tolerance * k * R for linear candidates
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str
-    radius: int = 8
-    depth: int | None = None
-    window: int = 8
-    ball: int = 8
-    fmt: str = "json"
-    budget: int = 1_000_000
-    seed: int = 0
-    out: str | None = None
-
-    def validate(self):
-        for name in ("radius", "window", "ball", "budget"):
-            if getattr(self, name) <= 0:
-                raise MalformedSpec(f"--{name} must be positive")
-        if self.depth is not None:
-            if self.depth <= 0:
-                raise MalformedSpec("--depth must be positive")
-            if self.command == "horo" and self.window >= self.depth:
-                raise MalformedSpec("--window must be smaller than --depth")
+def validate(args: argparse.Namespace) -> None:
+    for name in ("radius", "window", "ball", "budget"):
+        if getattr(args, name) <= 0:
+            raise MalformedSpec(f"--{name} must be positive")
+    if args.depth is not None:
+        if args.depth <= 0:
+            raise MalformedSpec("--depth must be positive")
+        if args.command == "horo" and args.window >= args.depth:
+            raise MalformedSpec("--window must be smaller than --depth")
 
 
 def _require_graph(spec) -> RootedGraph:
@@ -102,11 +88,7 @@ def growth_report(g: RootedGraph, radius: int, budget: int) -> dict:
     for s in sizes:
         total += s
         ball_sizes.append(total)
-    counts: dict[int, int] = {}
-    for s in sizes[1:]:
-        counts[s] = counts.get(s, 0) + 1
-    recurring = sorted(s for s, c in counts.items() if c >= RECURRENCE_THRESHOLD)
-    k = recurring[0] if recurring else None
+    k = recurring_sphere_size(sizes, RECURRENCE_THRESHOLD)
     linear = (k is not None and r_eff >= 1
               and ball_sizes[-1] <= LINEAR_TOLERANCE * k * r_eff)
     return {
@@ -123,35 +105,35 @@ def growth_report(g: RootedGraph, radius: int, budget: int) -> dict:
     }
 
 
-def cmd_growth(cfg: RunConfig) -> dict:
-    g = _require_graph(load_spec(cfg.input_path))
-    return growth_report(g, cfg.ball, cfg.budget)
+def cmd_growth(args: argparse.Namespace) -> dict:
+    g = _require_graph(load_spec(args.input))
+    return growth_report(g, args.ball, args.budget)
 
 
-def cmd_horo(cfg: RunConfig) -> dict:
-    g = _require_graph(load_spec(cfg.input_path))
+def cmd_horo(args: argparse.Namespace) -> dict:
+    g = _require_graph(load_spec(args.input))
     per_radius = []
     counts = []
-    for r in range(1, cfg.radius + 1):
-        depth = cfg.depth if cfg.depth is not None else 4 * r
+    for r in range(1, args.radius + 1):
+        depth = args.depth if args.depth is not None else 4 * r
         depth = max(depth, 2 * r + 1)
-        maps = enumerate_horofunction_restrictions(g, r, depth, cfg.window,
-                                                   budget=cfg.budget)
+        maps = enumerate_horofunction_restrictions(g, r, depth, args.window,
+                                                   budget=args.budget)
         counts.append(len(maps))
         per_radius.append({
             "r": r, "depth": depth, "count": len(maps),
             "maps": [valuemap_jsonable(m) for m in maps]})
     tail = counts[len(counts) // 2:]
     return {
-        "window": cfg.window,
+        "window": args.window,
         "per_radius": per_radius,
         "counts": counts,
         "stable_tail": len(set(tail)) == 1,
     }
 
 
-def cmd_cover(cfg: RunConfig) -> dict:
-    spec = load_spec(cfg.input_path)
+def cmd_cover(args: argparse.Namespace) -> dict:
+    spec = load_spec(args.input)
     lg = object_from_spec(spec)
     if not isinstance(lg, LayeredGraph):
         raise MalformedSpec("cover needs a layered graph spec")
@@ -175,18 +157,18 @@ def cmd_cover(cfg: RunConfig) -> dict:
     return report
 
 
-def cmd_orbit(cfg: RunConfig) -> dict:
-    spec = load_spec(cfg.input_path)
+def cmd_orbit(args: argparse.Namespace) -> dict:
+    spec = load_spec(args.input)
     if spec.get("kind") != "cayley":
         raise MalformedSpec("orbit needs a group (cayley) spec")
     g = graph_from_spec(spec)
-    growth = growth_report(g, max(cfg.ball, 12), cfg.budget)
-    r_enum = max(cfg.radius, cfg.ball + 4)
-    depth = cfg.depth if cfg.depth is not None else 4 * r_enum
-    horos = enumerate_horofunction_restrictions(g, r_enum, depth, cfg.window,
-                                                budget=cfg.budget)
-    orb = orbit_analysis(g, horos, cfg.ball, budget=cfg.budget)
-    wit = extract_homomorphism(orb, g, budget=cfg.budget)
+    growth = growth_report(g, max(args.ball, 12), args.budget)
+    r_enum = max(args.radius, args.ball + 4)
+    depth = args.depth if args.depth is not None else 4 * r_enum
+    horos = enumerate_horofunction_restrictions(g, r_enum, depth, args.window,
+                                                budget=args.budget)
+    orb = orbit_analysis(g, horos, args.ball, budget=args.budget)
+    wit = extract_homomorphism(orb, g, budget=args.budget)
     report = {
         "growth_verdict": growth["verdict"],
         "enumeration": {"radius": r_enum, "depth": depth,
@@ -211,27 +193,27 @@ def _random_prefix(g: RootedGraph, start, length, rng, budget):
     return GeodesicRay(tuple(vs))
 
 
-def cmd_reroot(cfg: RunConfig) -> dict:
-    g = _require_graph(load_spec(cfg.input_path))
-    rng = random.Random(cfg.seed)
-    length = cfg.depth if cfg.depth is not None else 30
-    ball = layer_decomposition(g, cfg.ball, cfg.budget).ball()
+def cmd_reroot(args: argparse.Namespace) -> dict:
+    g = _require_graph(load_spec(args.input))
+    rng = random.Random(args.seed)
+    length = args.depth if args.depth is not None else 30
+    ball = layer_decomposition(g, args.ball, args.budget).ball()
     results = []
     count = 100
     for i in range(count):
         start = rng.choice(ball)
-        ray = _random_prefix(g, start, length, rng, cfg.budget)
+        ray = _random_prefix(g, start, length, rng, args.budget)
         if ray is None:
-            results.append({"start": token_jsonable(start), "skipped": True})
+            results.append({"start": start, "skipped": True})
             continue
-        n0, rerooted = reroot_ray(g, ray, cfg.budget)
+        n0, rerooted = reroot_ray(g, ray, args.budget)
         geodesic_ok = all(
-            distance(g, g.basepoint, v, cfg.budget) == i
+            distance(g, g.basepoint, v, args.budget) == i
             for i, v in enumerate(rerooted.vertices))
         agrees = rerooted.vertices[-(length - n0 + 1):] == ray.vertices[n0:] \
             if n0 < length else True
         results.append({
-            "start": token_jsonable(start),
+            "start": start,
             "N": n0,
             "geodesic_ok": geodesic_ok,
             "agrees_from_N": bool(agrees),
@@ -240,7 +222,7 @@ def cmd_reroot(cfg: RunConfig) -> dict:
     return {
         "prefix_length": length,
         "count": count,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "results": results,
         "all_ok": all(x["geodesic_ok"] and x["agrees_from_N"] for x in done),
     }
@@ -333,19 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, input_path=args.input,
-                    radius=args.radius, depth=args.depth, window=args.window,
-                    ball=args.ball, fmt=args.format, budget=args.budget,
-                    seed=args.seed, out=args.out)
     try:
-        cfg.validate()
-        report = COMMANDS[cfg.command](cfg)
-        text = render(cfg.command, report, cfg.fmt)
+        validate(args)
+        report = COMMANDS[args.command](args)
+        text = render(args.command, report, args.format)
     except HoroscopeError as exc:
-        print(f"horoscope {cfg.command}: {exc}", file=sys.stderr)
+        print(f"horoscope {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

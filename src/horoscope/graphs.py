@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections import Counter, deque
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -64,7 +64,8 @@ class RootedGraph:
         Optional exact metric d(x, y).  When present it is used instead of
         a search for distance queries; tests cross-check it against BFS.
 
-    The BFS ball about the basepoint is memoized (``_layers``, ``_depth``
+    The BFS ball about the basepoint is memoized (``_layers``, the spheres
+    as sorted tuples that every :class:`LayerDecomposition` shares, ``_depth``
     and the ball sizes ``_ball_sizes``).  It only grows, one layer at a time
     under ``_lock``.  A depth in ``_depth`` is final once written, while
     ``_layers`` and ``_ball_sizes`` list complete layers only; readers take
@@ -84,7 +85,7 @@ class RootedGraph:
         self.exact_distance = exact_distance
         self._nbrs: dict[Vertex, tuple[Vertex, ...]] = {}
         # BFS-from-basepoint cache: complete layers only
-        self._layers: list[list[Vertex]] = [[basepoint]]
+        self._layers: list[tuple[Vertex, ...]] = [(basepoint,)]
         self._depth: dict[Vertex, int] = {basepoint: 0}
         self._ball_sizes: list[int] = [1]   # |B_r| for every memoized r
         self._lock = threading.Lock()       # held while a layer is built
@@ -102,10 +103,6 @@ class RootedGraph:
                     f"vertex {v!r} has degree {len(out)} > bound {self.degree_bound}")
             self._nbrs[v] = out
         return out
-
-    def distance0(self, v: Vertex, budget: int = DEFAULT_BUDGET) -> int:
-        """d(o, v)."""
-        return distance(self, self.basepoint, v, budget=budget)
 
     # -- internal BFS-from-o cache ------------------------------------------
 
@@ -140,7 +137,7 @@ class RootedGraph:
                     depth[u] = r
                     nxt.append(u)
         self._ball_sizes.append(self._ball_sizes[-1] + len(nxt))
-        self._layers.append(sorted(nxt))
+        self._layers.append(tuple(sorted(nxt)))
 
     def _metric(self, z: Vertex, budget: int, reach: int | None = None,
                 targets: Iterable[Vertex] | None = None) -> Callable[[Vertex], int]:
@@ -233,16 +230,6 @@ class ValueMap:
         return ValueMap(tuple(t for t, _ in pairs), tuple(x for _, x in pairs),
                         radius)
 
-    def to_jsonable(self):
-        return [[_token_jsonable(tok), val]
-                for tok, val in zip(self.domain, self.values)]
-
-
-def _token_jsonable(tok):
-    if isinstance(tok, tuple):
-        return [_token_jsonable(t) for t in tok]
-    return tok
-
 
 # ---------------------------------------------------------------------------
 # sphere decomposition
@@ -296,11 +283,16 @@ def layer_decomposition(g: RootedGraph, radius: int,
     g._ensure_layers(radius, budget)
     ld = g._ld_cache.get(radius)
     if ld is None:
-        ld = LayerDecomposition(
-            radius, tuple(tuple(layer) for layer in g._layers[: radius + 1]),
-            g._depth)
+        ld = LayerDecomposition(radius, tuple(g._layers[: radius + 1]), g._depth)
         g._ld_cache[radius] = ld
     return ld
+
+
+def recurring_sphere_size(sizes: Sequence[int], times: int) -> int | None:
+    """The least size among |S_1|, |S_2|, ... that occurs at least ``times``
+    times, or None; ``sizes`` lists |S_0|, |S_1|, ..."""
+    counts = Counter(sizes[1:])
+    return min((s for s, c in counts.items() if c >= times), default=None)
 
 
 def _metric_from(g: RootedGraph, z: Vertex, budget: int, *,
@@ -620,15 +612,15 @@ def explicit_graph(vertices: Sequence[Vertex], edges: Sequence[Sequence[Vertex]]
     vset = set(vertices)
     if len(vset) != len(list(vertices)):
         raise MalformedSpec("duplicate vertices")
-    if basepoint not in vset:
+    if not isinstance(basepoint, Hashable) or basepoint not in vset:
         raise MalformedSpec(f"basepoint {basepoint!r} not among vertices")
     adj: dict[Vertex, set] = {v: set() for v in vertices}
     for e in edges:
-        if len(e) != 2:
+        if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise MalformedSpec(f"edge {e!r} is not a pair")
-        u, v = e
-        if u not in vset or v not in vset:
+        if not all(isinstance(x, Hashable) and x in vset for x in e):
             raise MalformedSpec(f"edge {e!r} references unknown vertex")
+        u, v = e
         if u == v:
             raise MalformedSpec(f"self-loop {e!r} not allowed")
         adj[u].add(v)

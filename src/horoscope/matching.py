@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from .errors import UnequalLayers
+
 
 @dataclass(frozen=True)
 class Matching:
@@ -69,11 +71,14 @@ def matching_or_violator(left, right, adjacency):
     ``adjacency`` maps left vertices to iterables of right vertices.  Returns
     either a :class:`Matching` or a :class:`HallViolator` whose subset is the
     set of left vertices reachable by alternating paths from the least
-    unmatched one (so |N(Y)| = |Y| - 1).
+    unmatched one (so |N(Y)| = |Y| - 1).  Raises UnequalLayers when the
+    sides differ in size.
     """
     left = sorted(left)
     right = sorted(right)
-    assert len(left) == len(right), "sides must have equal cardinality"
+    if len(left) != len(right):
+        raise UnequalLayers(
+            f"sides must have equal cardinality, got {len(left)} and {len(right)}")
     adj = {u: tuple(sorted(set(adjacency.get(u, ())))) for u in left}
     match_left = maximum_matching(left, adj)
     if len(match_left) == len(left):

@@ -32,6 +32,7 @@ Hall-failure split into a funnel part and its complement when they do not.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from math import gcd
 from typing import Any, NamedTuple
@@ -56,6 +57,7 @@ from .graphs import (
     canonical_geodesic,
     extend_ray,
     layer_decomposition,
+    recurring_sphere_size,
 )
 from .matching import HallViolator, Matching, matching_or_violator
 
@@ -229,11 +231,24 @@ def build_layered(spec: dict) -> LayeredGraph:
     if not isinstance(spec, dict) or spec.get("kind") != "layered":
         raise MalformedSpec('layered spec must be an object with "kind": "layered"')
 
+    def name_lists(obj, where, size=None):
+        """obj, checked to be a list of lists of scalars (``size`` in each)."""
+        if not isinstance(obj, list) or not all(
+                isinstance(e, list) and size in (None, len(e))
+                and all(isinstance(x, Hashable) for x in e) for e in obj):
+            raise MalformedSpec(f"{where} must be a list of lists of scalars"
+                                + (f", {size} to a list" if size else ""))
+        return obj
+
+    def section(key):
+        obj = spec.get(key)
+        if obj is not None and not isinstance(obj, dict):
+            raise MalformedSpec(f'"{key}" must be an object')
+        return obj
+
     def parse_edges(entries, n_layers, where):
         steps = [[] for _ in range(max(n_layers - 1, 0))]
-        for e in entries:
-            if not isinstance(e, list) or len(e) != 3:
-                raise MalformedSpec(f"{where}: edge entry {e!r} must be [layer, from, to]")
+        for e in name_lists(entries, f"{where} edges", 3):
             j, a, b = e
             if not isinstance(j, int) or not 0 <= j < n_layers - 1:
                 raise NonConsecutiveEdge(
@@ -241,18 +256,18 @@ def build_layered(spec: dict) -> LayeredGraph:
             steps[j].append((a, b))
         return steps
 
-    if "period" in spec:
-        period = spec["period"]
-        p_layers = period.get("layers")
+    period = section("period")
+    if period is not None:
+        p_layers = name_lists(period.get("layers"), "period.layers")
         if not p_layers or any(not layer for layer in p_layers):
             raise MalformedSpec("period.layers must be nonempty lists of names")
         p_steps = parse_edges(period.get("edges", []), len(p_layers), "period")
-        wrap = [tuple(e) for e in spec.get("wrap", [])]
-        prefix = spec.get("prefix")
+        wrap = name_lists(spec.get("wrap", []), "wrap", 2)
+        prefix = section("prefix")
         if prefix is not None:
-            f_layers = prefix.get("layers") or []
+            f_layers = name_lists(prefix.get("layers") or [], "prefix.layers")
             f_steps = parse_edges(prefix.get("edges", []), len(f_layers), "prefix")
-            seam = [tuple(e) for e in spec.get("seam", [])]
+            seam = name_lists(spec.get("seam", []), "seam", 2)
             return LayeredGraph.periodic(p_layers, p_steps, wrap,
                                          prefix_layers=f_layers,
                                          prefix_steps=f_steps, seam=seam)
@@ -261,6 +276,7 @@ def build_layered(spec: dict) -> LayeredGraph:
     layers = spec.get("layers")
     if not layers:
         raise MalformedSpec('truncation spec needs a nonempty "layers" list')
+    name_lists(layers, "layers")
     steps = parse_edges(spec.get("edges", []), len(layers), "layers")
     return LayeredGraph.truncation(layers, steps)
 
@@ -1133,15 +1149,11 @@ def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
             raise ValueError("need either radii or a census bound")
         ld = layer_decomposition(g, bound, budget)
         sizes = ld.sphere_sizes
-        counts: dict[int, int] = {}
-        for r in range(1, bound + 1):
-            counts[sizes[r]] = counts.get(sizes[r], 0) + 1
-        recurring = [s for s, c in counts.items() if c >= recurrences]
-        if not recurring:
+        k = recurring_sphere_size(sizes, recurrences)
+        if k is None:
             raise NoConstantSubsequence(
                 f"no sphere size recurs {recurrences} times up to radius {bound} "
                 "(superlinear growth, or the bound is too small)")
-        k = min(recurring)
         radii = tuple(r for r in range(1, bound + 1) if sizes[r] == k)
     else:
         radii = tuple(radii)

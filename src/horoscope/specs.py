@@ -10,7 +10,8 @@ One JSON file describes one object, discriminated by "kind":
 
 Emitted reports are versioned with "schema": "horoscope/1"; group elements
 serialize as their normal form (ints, [a, b] pairs, or reduced words) and
-value maps as sorted [token, value] arrays.
+value maps as sorted [token, value] arrays.  No conversion layer is needed:
+``json`` writes a tuple as an array, byte for byte the same as a list.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 from typing import Any
 
 from .cayley import (
-    CayleyGraph,
     GroupSpec,
     HomomorphismWitness,
     OrbitResult,
@@ -30,7 +30,6 @@ from .graphs import DEFAULT_BUDGET, RootedGraph, ValueMap, explicit_graph
 from .npartite import (
     CoverResult,
     HallFailureWitness,
-    LayeredGraph,
     MonotonePath,
     TraceNode,
     build_layered,
@@ -39,24 +38,16 @@ from .npartite import (
 SCHEMA = "horoscope/1"
 
 
-def token_jsonable(tok):
-    if isinstance(tok, tuple):
-        return [token_jsonable(t) for t in tok]
-    return tok
-
-
 def group_spec_from_dict(spec: dict) -> GroupSpec:
     family = spec.get("family")
     if not isinstance(family, str):
         raise MalformedSpec('cayley spec needs a "family" string')
     gens = spec.get("generators")
-    modulus = spec.get("modulus")
-    gs = GroupSpec(family=family,
-                   generators=None, modulus=modulus)
-    fam = gs.resolve()
     if gens is not None:
-        gens = tuple(fam.token(s) for s in gens)
-    return GroupSpec(family=family, generators=gens, modulus=modulus)
+        if not isinstance(gens, list):
+            raise MalformedSpec('"generators" must be a list of group elements')
+        gens = tuple(gens)
+    return GroupSpec(family=family, generators=gens, modulus=spec.get("modulus"))
 
 
 def graph_from_spec(spec: dict, budget: int = DEFAULT_BUDGET) -> RootedGraph:
@@ -67,11 +58,13 @@ def graph_from_spec(spec: dict, budget: int = DEFAULT_BUDGET) -> RootedGraph:
         for key in ("vertices", "edges", "basepoint"):
             if key not in spec:
                 raise MalformedSpec(f'explicit spec needs "{key}"')
-        vertices = spec["vertices"]
+        vertices, edges = spec["vertices"], spec["edges"]
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise MalformedSpec('explicit "vertices" and "edges" must be lists')
         kinds = {type(v) for v in vertices}
-        if len(kinds) > 1:
-            raise MalformedSpec("explicit vertices must be homogeneous tokens")
-        return explicit_graph(vertices, spec["edges"], spec["basepoint"])
+        if len(kinds) > 1 or kinds & {list, dict}:
+            raise MalformedSpec("explicit vertices must be scalar tokens of one type")
+        return explicit_graph(vertices, edges, spec["basepoint"])
     raise MalformedSpec(f'unknown graph kind {kind!r}')
 
 
@@ -100,36 +93,34 @@ def object_from_spec(spec: dict, budget: int = DEFAULT_BUDGET):
 
 
 def valuemap_jsonable(vm: ValueMap):
-    return vm.to_jsonable()
+    return vm.items
 
 
 def path_jsonable(p: MonotonePath):
-    return {"start": p.start,
-            "head": [token_jsonable(n) for n in p.head],
-            "cycle": [token_jsonable(n) for n in p.cycle]}
+    return {"start": p.start, "head": p.head, "cycle": p.cycle}
 
 
 def witness_jsonable(w: HallFailureWitness):
     return {
         "base_layer": w.base_layer,
-        "witness_layers": list(w.witness_layers),
-        "U": [token_jsonable(n) for n in w.U],
-        "V": {str(m): [token_jsonable(n) for n in names] for m, names in w.V},
-        "sizes": list(w.sizes),
+        "witness_layers": w.witness_layers,
+        "U": w.U,
+        "V": {str(m): names for m, names in w.V},
+        "sizes": w.sizes,
     }
 
 
 def trace_jsonable(t: TraceNode):
     out: dict[str, Any] = {"kind": t.kind, "k": t.k}
     if t.selection is not None:
-        out["selection"] = list(t.selection)
+        out["selection"] = t.selection
     if t.witness is not None:
         out["witness"] = witness_jsonable(t.witness)
     if t.v is not None:
         out["v"] = t.v
         out["w"] = t.w
     if t.padded:
-        out["padded"] = [token_jsonable(n) for n in t.padded]
+        out["padded"] = t.padded
     if t.children:
         out["children"] = [trace_jsonable(c) for c in t.children]
     return out
@@ -148,12 +139,10 @@ def orbit_jsonable(orb: OrbitResult):
     member_index = {f: i for i, f in enumerate(orb.members)}
     return {
         "members": [valuemap_jsonable(f) for f in orb.members],
-        "action_table": {
-            json.dumps(token_jsonable(s)): list(row)
-            for s, row in orb.action_table},
+        "action_table": {json.dumps(s): row for s, row in orb.action_table},
         "fixed": valuemap_jsonable(orb.fixed),
         "orbit": [member_index[f] for f in orb.orbit],
-        "stabilizer_sample": [token_jsonable(x) for x in orb.stabilizer_sample],
+        "stabilizer_sample": orb.stabilizer_sample,
         "index_estimate": orb.index_estimate,
         "ball_radius": orb.radius,
     }
@@ -162,9 +151,9 @@ def orbit_jsonable(orb: OrbitResult):
 def witness_hom_jsonable(w: HomomorphismWitness):
     return {
         "base": valuemap_jsonable(w.base),
-        "sampled_values": [[token_jsonable(h), v] for h, v in w.sampled_values],
+        "sampled_values": w.sampled_values,
         "image_gcd": w.image_gcd,
-        "coset_shifts": [[token_jsonable(x), v] for x, v in w.coset_shifts],
-        "kernel_sample": [token_jsonable(h) for h in w.kernel_sample],
+        "coset_shifts": w.coset_shifts,
+        "kernel_sample": w.kernel_sample,
         "kernel_sample_size": len(w.kernel_sample),
     }

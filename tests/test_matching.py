@@ -1,6 +1,9 @@
 import itertools
 import random
 
+import pytest
+
+from horoscope.errors import UnequalLayers
 from horoscope.matching import (
     HallViolator,
     Matching,
@@ -31,6 +34,12 @@ def test_forced_violator():
     assert isinstance(res, HallViolator)
     assert res.subset == ("u1", "u2")
     assert res.neighborhood == ("v1",)
+
+
+def test_unequal_sides_raise_typed_error():
+    # a "perfect" matching of one pair would leave y unmatched
+    with pytest.raises(UnequalLayers):
+        matching_or_violator(["a"], ["x", "y"], {"a": ["x"]})
 
 
 def test_complete_bipartite_is_bijection():

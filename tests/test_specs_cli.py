@@ -228,6 +228,20 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
         "kind": "layered", "period": {"layers": [names], "edges": []},
         "wrap": [list(e) for e in wrap]})
     assert main(["cover", funnel]) == 4
+    # malformed spec shapes: exit 3, not a raw TypeError or AttributeError
+    for command, spec in [
+            ("growth", {**Z_SPEC, "generators": 5}),
+            ("growth", {"kind": "explicit", "vertices": 5, "edges": [],
+                        "basepoint": 0}),
+            ("growth", {"kind": "explicit", "vertices": [0, 1], "edges": [5],
+                        "basepoint": 0}),
+            ("growth", {"kind": "explicit", "vertices": [[0], [1]],
+                        "edges": [], "basepoint": [0]}),
+            ("cover", {"kind": "layered", "period": 5}),
+            ("cover", {**HALL_SPEC, "period": {"layers": 5, "edges": []}}),
+            ("cover", {**HALL_SPEC, "wrap": [["a"]]}),
+            ("cover", {**HALL_SPEC, "wrap": 5})]:
+        assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
