@@ -1,8 +1,13 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 import horoscope as h
 from horoscope import corpus
 from horoscope.npartite import enumerate_spanning_paths
+from horoscope.specs import cover_jsonable, witness_jsonable
 
 
 def brute_minimum(lg, paths, depth):
@@ -303,3 +308,65 @@ def test_intersection_minima_past_255_layers():
         {255: 256, 256: 257, 300: 301}
     assert h.spanning_intersection_minima(lg, res.paths, (10, 254)) == \
         {10: 11, 254: 255}
+
+
+# ---------------------------------------------------------------- golden digest
+
+
+def random_truncation(seed):
+    """Seeded truncation with k = 2-4 names in every layer and depth 4-10;
+    every name keeps a forward edge, and a few draws split on Hall failure."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 4)
+    depth = rng.randint(4, 10)
+    names = [f"v{i}" for i in range(k)]
+    steps = []
+    for _ in range(depth):
+        pairs = {(a, rng.choice(names)) for a in names}
+        for _ in range(rng.randrange(0, k + 1)):
+            pairs.add((rng.choice(names), rng.choice(names)))
+        steps.append(sorted(pairs))
+    return h.LayeredGraph.truncation([names] * (depth + 1), steps)
+
+
+def golden_cases():
+    cases = [(f"corpus{s}/{n}", lg) for s in range(4) for n, lg in corpus.corpus(s)]
+    cases += [(f"periodic{s}", corpus.random_periodic(s, k=2 + s % 3, period=1 + s % 3))
+              for s in range(40)]
+    cases += [(f"dead_ends{s}", random_with_dead_ends(s, k=2 + s % 3, period=1 + s % 2))
+              for s in range(40)]
+    cases += [(f"unfold12/{n}", lg.unfold(12)) for n, lg in corpus.corpus(0)]
+    cases += [(f"truncation{s}", random_truncation(s)) for s in range(400)]
+    return cases
+
+
+def golden_record(lg):
+    """Cover, DP minima (k <= 4) and Hall witnesses of the graph and of its
+    pruning; a typed error stands in for a result by its class name."""
+    def attempt(f):
+        try:
+            return f()
+        except h.HoroscopeError as exc:
+            return type(exc).__name__
+
+    def witness(w):
+        return witness_jsonable(w) if isinstance(w, h.HallFailureWitness) else w
+
+    res = attempt(lambda: h.monotone_cover(lg))
+    if isinstance(res, str):
+        return [res]
+    depths = (6, 12) if lg.is_periodic else (3, 6, 9)
+    minima = (sorted(h.spanning_intersection_minima(lg, res.paths, depths).items())
+              if res.k <= 4 else None)
+    return [cover_jsonable(res), minima,
+            witness(attempt(lambda: h.find_hall_failure(lg))),
+            witness(attempt(lambda: h.find_hall_failure(h.prune_to_spanning(lg).graph)))]
+
+
+def test_golden_cover_digest():
+    # covers, DP minima and Hall witnesses of 555 graphs: corpora 0-3, random
+    # periodic graphs with and without dead ends, depth-12 unfoldings and
+    # random truncations (seven of which split on a Hall failure)
+    blob = json.dumps([[name, golden_record(lg)] for name, lg in golden_cases()])
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "33a36c60e7bc5d571d0f6d5406b26c98f815ad5348ae142c06162957c31222b1"
