@@ -27,7 +27,8 @@ from .errors import BudgetExhausted, HoroscopeError, MalformedSpec
 from .graphs import (
     GeodesicRay,
     RootedGraph,
-    distance,
+    _metric_from,
+    distance,  # noqa: F401  (perfbench's tracer test reads cli.distance)
     enumerate_horofunction_restrictions,
     layer_decomposition,
     recurring_sphere_size,
@@ -182,11 +183,11 @@ def cmd_orbit(args: argparse.Namespace) -> dict:
 
 
 def _random_prefix(g: RootedGraph, start, length, rng, budget):
+    dist_from_start = _metric_from(g, start, budget, reach=length)
     vs = [start]
     for _ in range(length):
         want = len(vs)
-        cands = [u for u in g.neighbors(vs[-1])
-                 if distance(g, start, u, budget) == want]
+        cands = [u for u in g.neighbors(vs[-1]) if dist_from_start(u) == want]
         if not cands:
             return None
         vs.append(rng.choice(cands))
@@ -207,9 +208,8 @@ def cmd_reroot(args: argparse.Namespace) -> dict:
             results.append({"start": start, "skipped": True})
             continue
         n0, rerooted = reroot_ray(g, ray, args.budget)
-        geodesic_ok = all(
-            distance(g, g.basepoint, v, args.budget) == i
-            for i, v in enumerate(rerooted.vertices))
+        dist_o = _metric_from(g, g.basepoint, args.budget, targets=rerooted.vertices)
+        geodesic_ok = all(dist_o(v) == i for i, v in enumerate(rerooted.vertices))
         agrees = rerooted.vertices[-(length - n0 + 1):] == ray.vertices[n0:] \
             if n0 < length else True
         results.append({

@@ -28,6 +28,11 @@ The monotone cover is the showpiece: k monotone paths such that every
 infinite monotone path shares infinitely many vertices with one of them,
 computed by induction on k via perfect matchings when they exist and via a
 Hall-failure split into a funnel part and its complement when they do not.
+Each mode has one decision function that matches every layer pair it tries
+once and returns either the matching selection or the Hall witness:
+``_stride_analysis`` (a Stride or a HallFailureWitness) for periodic graphs,
+``_truncation_witness`` (the first matching layer or the witness) for
+truncations.  The cover recursion and ``find_hall_failure`` both read it.
 """
 
 from __future__ import annotations
@@ -93,8 +98,8 @@ class LayeredGraph:
     @classmethod
     def truncation(cls, layers, steps, tags=None) -> "LayeredGraph":
         """Truncation from layer name lists and per-step edge pair lists."""
-        layers = tuple(tuple(sorted(set(layer))) for layer in layers)
-        steps = tuple(frozenset((a, b) for a, b in step) for step in steps)
+        layers = _layer_tuples(layers)
+        steps = tuple(map(_pair_set, steps))
         if len(steps) != max(len(layers) - 1, 0):
             raise MalformedSpec(
                 f"{len(layers)} layers need {len(layers) - 1} edge steps, "
@@ -112,24 +117,24 @@ class LayeredGraph:
         joins the last block layer to the first one of the next copy, and
         ``seam`` joins the last prefix layer to block layer 0.
         """
-        period_layers = tuple(tuple(sorted(set(layer))) for layer in period_layers)
+        period_layers = _layer_tuples(period_layers)
         if not period_layers:
             raise MalformedSpec("periodic description needs a nonempty period block")
-        period_steps = tuple(frozenset((a, b) for a, b in step) for step in period_steps)
+        period_steps = tuple(map(_pair_set, period_steps))
         if len(period_steps) != len(period_layers) - 1:
             raise MalformedSpec(
                 f"period of {len(period_layers)} layers needs "
                 f"{len(period_layers) - 1} internal steps, got {len(period_steps)}")
-        prefix_layers = tuple(tuple(sorted(set(layer))) for layer in prefix_layers)
-        prefix_steps = tuple(frozenset((a, b) for a, b in step) for step in prefix_steps)
+        prefix_layers = _layer_tuples(prefix_layers)
+        prefix_steps = tuple(map(_pair_set, prefix_steps))
         if len(prefix_steps) != max(len(prefix_layers) - 1, 0):
             raise MalformedSpec("prefix step count does not match prefix layers")
         if bool(prefix_layers) != (seam is not None):
             raise MalformedSpec("seam edges required exactly when a prefix is present")
         return cls(prefix_layers=prefix_layers, prefix_edges=prefix_steps,
-                   seam_edges=frozenset((a, b) for a, b in seam) if seam is not None else None,
+                   seam_edges=_pair_set(seam) if seam is not None else None,
                    period_layers=period_layers,
-                   period_edges=period_steps + (frozenset((a, b) for a, b in wrap),))
+                   period_edges=period_steps + (_pair_set(wrap),))
 
     def __post_init__(self):
         # one successor map per stored step, in the order of _stored_steps
@@ -224,6 +229,19 @@ class LayeredGraph:
         layers = [self.layer(i) for i in range(depth + 1)]
         steps = [self.edge_pairs(i) for i in range(depth)]
         return LayeredGraph.truncation(layers, steps)
+
+
+def _layer_tuples(layers) -> tuple[tuple[Name, ...], ...]:
+    """Each layer as the sorted tuple of its distinct names."""
+    try:
+        return tuple(tuple(sorted(set(layer))) for layer in layers)
+    except TypeError as exc:
+        raise MalformedSpec(f"layer names must be hashable and mutually "
+                            f"comparable: {exc}") from None
+
+
+def _pair_set(step) -> frozenset:
+    return frozenset((a, b) for a, b in step)
 
 
 def build_layered(spec: dict) -> LayeredGraph:
@@ -354,6 +372,17 @@ def _rel_pairs(rel):
     return [(a, b) for a, ts in rel.items() for b in ts]
 
 
+def _reaching(lg: LayeredGraph, lo: int, j: int, target: set) -> list[set]:
+    """Reach sets of layers lo, ..., j: entry t - lo holds the names of layer
+    t with a monotone path into ``target``, a set of layer-j names."""
+    reach = [target]
+    for t in range(j - 1, lo - 1, -1):
+        succ = lg.forward_map(t)
+        reach.append({a for a in lg.layer(t) if succ[a] & reach[-1]})
+    reach.reverse()
+    return reach
+
+
 def _assemble(layers, steps, num_prefix=None, tags=None) -> LayeredGraph:
     """Graph from unfolded layers and the steps that follow each of them: a
     truncation when ``num_prefix`` is None (one step fewer than layers), else
@@ -365,11 +394,6 @@ def _assemble(layers, steps, num_prefix=None, tags=None) -> LayeredGraph:
     return LayeredGraph.periodic(
         layers[p:], steps[p:-1], steps[-1], prefix_layers=layers[:p],
         prefix_steps=steps[:max(p - 1, 0)], seam=steps[p - 1] if p else None)
-
-
-def _perfect_matching(rel, names):
-    res = matching_or_violator(names, names, rel)
-    return res if isinstance(res, Matching) else None
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +514,7 @@ def _prune_periodic(lg: LayeredGraph) -> PruneResult:
         raise EmptyGraph("no infinite monotone path survives pruning")
     # walk back from block layer 0 of the next copy; at layer p this gives
     # alive again, since a name reaching alive in one period is never trimmed
-    keep = [set() for _ in range(p + b)] + [alive]
-    for i in range(p + b - 1, -1, -1):
-        succ = lg.forward_map(i)
-        keep[i] = {a for a in lg.layer(i) if succ[a] & keep[i + 1]}
-    keep.pop()
+    keep = _reaching(lg, 0, p + b, alive)[:-1]
 
     sizes = [len(s) for s in keep]
     period_sizes = sizes[p:]
@@ -511,10 +531,7 @@ def _prune_periodic(lg: LayeredGraph) -> PruneResult:
 
 def _prune_truncation(lg: LayeredGraph) -> PruneResult:
     d = lg.num_layers
-    fwd = [set() for _ in range(d - 1)] + [set(lg.layer(d - 1))]
-    for i in range(d - 2, -1, -1):
-        succ = lg.forward_map(i)
-        fwd[i] = {a for a in lg.layer(i) if succ[a] & fwd[i + 1]}
+    fwd = _reaching(lg, 0, d - 1, set(lg.layer(d - 1)))
     back = [set(lg.layer(0))]
     for i in range(d - 1):
         succ = lg.forward_map(i)
@@ -561,44 +578,28 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
                              certificate=res)
         return res.as_dict()
 
-    if not lg.is_periodic:
-        d = lg.num_layers
-        steps = [need(j) for j in range(d - 1)]
-        paths = []
-        for a in lg.layer(0):
-            names = [a]
-            for m in steps:
-                names.append(m[names[-1]])
-            paths.append(MonotonePath(0, tuple(names)))
-        return tuple(paths)
+    def walk(name, steps):
+        names = [name]
+        for m in steps:
+            names.append(m[names[-1]])
+        return names
 
-    p, b = lg.num_prefix, lg.period_length
-    prefix_steps = [need(i) for i in range(p)]           # includes the seam
-    block_steps = [need(p + j) for j in range(b)]        # includes the wrap
-    pi = {}
-    for u in lg.period_layers[0]:
-        cur = u
-        for m in block_steps:
-            cur = m[cur]
-        pi[u] = cur
+    p = lg.num_prefix
+    # the head steps include the seam; the block steps include the wrap
+    head_steps = [need(i) for i in range(p if lg.is_periodic else p - 1)]
+    block_steps = [need(p + j) for j in range(lg.period_length)]
     paths = []
     for a in lg.layer(0):
-        names = [a]
-        for m in prefix_steps:
-            names.append(m[names[-1]])
-        entry = names[-1]           # name at the first block layer
-        cyc_len = 1
-        cur = pi[entry]
-        while cur != entry:
-            cyc_len += 1
-            cur = pi[cur]
-        cycle = []
-        cur = entry
-        for _ in range(cyc_len):
-            for m in block_steps:
-                cycle.append(cur)
-                cur = m[cur]
-        paths.append(MonotonePath(0, tuple(names[:-1]), tuple(cycle)))
+        head = walk(a, head_steps)
+        if not block_steps:
+            paths.append(MonotonePath(0, tuple(head)))
+            continue
+        # whole block walks from the entry name until the walk returns to it
+        entry = head.pop()
+        cycle = walk(entry, block_steps)
+        while cycle[-1] != entry:
+            cycle += walk(cycle.pop(), block_steps)
+        paths.append(MonotonePath(0, tuple(head), tuple(cycle[:-1])))
     return tuple(paths)
 
 
@@ -622,45 +623,33 @@ class HallFailureWitness:
         return dict(self.V)[m]
 
 
-class _MatchInfo(NamedTuple):
-    start: int
-    stride: int
-
-
-class _FailInfo(NamedTuple):
-    phase: int        # block layer index of the base
-    q0: int           # first period count in the stabilized class
-    cycle: int        # period count between class members
-    U: tuple
-    V: tuple
-
-
 _POWER_CAP = 4096  # powers tried per phase before giving up with BudgetExhausted
 
 
-def _stride_analysis(lg: LayeredGraph):
+def _stride_analysis(lg: LayeredGraph) -> Stride | HallFailureWitness:
     """Decide between the matching branch and the Hall-failure branch.
 
     For each block phase j, the reachability relation over q periods is the
     q-th power of a boolean matrix, so it repeats; if some power of some
     phase admits a perfect matching, an infinite equal-gap subsequence with
-    matchings at every consecutive pair exists (_MatchInfo).  Otherwise the
-    violators of the powers inside the stabilized cycle repeat verbatim and
-    give a Hall-failure witness with constant U and V (_FailInfo).  The
-    search over same-phase strides is complete: any infinite matchable
-    subsequence contains one along a fixed phase, because compositions of
-    perfect matchings are perfect matchings inside the composed relation.
+    matchings at every consecutive pair exists, and its Stride is returned.
+    Otherwise the violators of the powers inside the stabilized cycle repeat
+    verbatim and give a Hall-failure witness with constant U and V, built
+    from the certificates kept while the powers were tried: each power is
+    matched once.  The search over same-phase strides is complete: any
+    infinite matchable subsequence contains one along a fixed phase, because
+    compositions of perfect matchings are perfect matchings inside the
+    composed relation.  Raises EmptyGraph on an empty block layer.
     """
-    assert lg.is_periodic
     p, b = lg.num_prefix, lg.period_length
-    names = [lg.period_layers[j] for j in range(b)]
-    assert all(names), "empty block layer: prune first"
+    names = lg.period_layers
+    if not all(names):
+        raise EmptyGraph("empty block layer: prune first")
     one_period = [relation_between(lg, p + j, p + j + b) for j in range(b)]
 
-    power = [None] * b
-    history = [dict() for _ in range(b)]   # successor sets in layer order -> q
+    power = list(one_period)
+    history = [dict() for _ in range(b)]   # successor sets in layer order -> (q, cert)
     cycle_of = [None] * b                  # (pre_period, cycle_len)
-    matrices = [dict() for _ in range(b)]  # q -> relation
     q = 0
     while True:
         q += 1
@@ -673,35 +662,32 @@ def _stride_analysis(lg: LayeredGraph):
                     f"powers of the one-period relation at phase {j} did not "
                     f"cycle within {_POWER_CAP} periods")
             progress = True
-            if q == 1:
-                power[j] = one_period[j]
-            else:
+            if q > 1:
                 step = one_period[j]
                 power[j] = {a: frozenset().union(*(step[m] for m in mids))
                             for a, mids in power[j].items()}
             key = tuple(power[j].values())
             if key in history[j]:
-                q1 = history[j][key]
+                q1 = history[j][key][0]
                 cycle_of[j] = (q1, q - q1)
                 continue
-            history[j][key] = q
-            matrices[j][q] = power[j]
-            if _perfect_matching(power[j], names[j]) is not None:
-                return _MatchInfo(start=p + j, stride=q * b)
+            cert = matching_or_violator(names[j], names[j], power[j])
+            if isinstance(cert, Matching):
+                return Stride(p + j, q * b)
+            history[j][key] = (q, cert)
         if not progress:
             break
 
-    j_star = 0
-    pre, cyc = cycle_of[j_star]
-    classes = {}
-    for qq in range(pre, pre + cyc):
-        cert = matching_or_violator(names[j_star], names[j_star], matrices[j_star][qq])
-        assert isinstance(cert, HallViolator)
-        key = (cert.subset, len(cert.neighborhood))
-        classes.setdefault(key, []).append((qq, cert.neighborhood))
-    (u_set, _), members = min(classes.items(), key=lambda kv: kv[0])
-    q0, v_set = members[0]
-    return _FailInfo(phase=j_star, q0=q0, cycle=cyc, U=u_set, V=v_set)
+    # the witness at phase 0: the least (U, |V|) among the certificates of
+    # the stabilized cycle, first reached at power q0
+    pre, cyc = cycle_of[0]
+    q0, cert = min((qc for qc in history[0].values() if qc[0] >= pre),
+                   key=lambda qc: (qc[1].subset, len(qc[1].neighborhood), qc[0]))
+    ms = tuple(p + (q0 + i * cyc) * b for i in range(3))
+    return HallFailureWitness(
+        base_layer=p, witness_layers=ms, U=cert.subset,
+        V=tuple((m, cert.neighborhood) for m in ms),
+        sizes=(len(cert.subset), len(cert.neighborhood)))
 
 
 def find_hall_failure(lg: LayeredGraph) -> HallFailureWitness | None:
@@ -714,20 +700,18 @@ def find_hall_failure(lg: LayeredGraph) -> HallFailureWitness | None:
     """
     if lg.is_periodic:
         res = _stride_analysis(lg)
-        if isinstance(res, _MatchInfo):
-            return None
-        return _witness_from_fail(lg, res)
-
+        return res if isinstance(res, HallFailureWitness) else None
     for n in range(lg.num_layers - 1):
-        witness = _truncation_witness(lg, n)
-        if witness is not None:
-            return witness
+        res = _truncation_witness(lg, n)
+        if isinstance(res, HallFailureWitness):
+            return res
     return None
 
 
-def _truncation_witness(lg: LayeredGraph, n: int) -> HallFailureWitness | None:
-    """Hall-failure witness of base layer n against every deeper layer of the
-    same size, or None when one of them matches n (or there is none).
+def _truncation_witness(lg: LayeredGraph, n: int) -> int | HallFailureWitness | None:
+    """The first deeper layer of the same size as base layer n that matches
+    it; else the Hall-failure witness of n against all of them, or None when
+    there is none.
 
     The Hall certificates are grouped by (U, |V|); the witness is the largest
     group, ties going to the least (U, |V|), so the choice is deterministic.
@@ -739,7 +723,7 @@ def _truncation_witness(lg: LayeredGraph, n: int) -> HallFailureWitness | None:
         cert = matching_or_violator(lg.layer(n), lg.layer(m),
                                     relation_between(lg, n, m))
         if isinstance(cert, Matching):
-            return None
+            return m
         key = (cert.subset, len(cert.neighborhood))
         classes.setdefault(key, []).append((m, cert.neighborhood))
     if not classes:
@@ -749,14 +733,6 @@ def _truncation_witness(lg: LayeredGraph, n: int) -> HallFailureWitness | None:
     return HallFailureWitness(
         base_layer=n, witness_layers=tuple(m for m, _ in members), U=u_set,
         V=tuple(members), sizes=(len(u_set), vlen))
-
-
-def _witness_from_fail(lg: LayeredGraph, info: _FailInfo) -> HallFailureWitness:
-    base = lg.num_prefix + info.phase
-    ms = tuple(base + (info.q0 + i * info.cycle) * lg.period_length for i in range(3))
-    return HallFailureWitness(
-        base_layer=base, witness_layers=ms, U=info.U,
-        V=tuple((m, info.V) for m in ms), sizes=(len(info.U), len(info.V)))
 
 
 # ---------------------------------------------------------------------------
@@ -810,15 +786,10 @@ def _greedy_walk(rel: dict, start: Name) -> MonotonePath:
 
 def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     """Lexicographically least monotone path (layer i, u) -> (layer j, v)."""
-    reach = {j: {v}}
-    for t in range(j - 1, i, -1):
-        succ = lg.forward_map(t)
-        reach[t] = {a for a in lg.layer(t) if succ[a] & reach[t + 1]}
+    reach = _reaching(lg, i + 1, j, {v})
     out = [u]
-    cur = u
     for t in range(i, j):
-        cur = min(lg.forward_map(t)[cur] & reach[t + 1])
-        out.append(cur)
+        out.append(min(lg.forward_map(t)[out[-1]] & reach[t - i]))
     return tuple(out)
 
 
@@ -827,40 +798,27 @@ def _expand_path(parent: LayeredGraph, layer_map, path: MonotonePath) -> Monoton
     its least realizing monotone segment in the parent."""
     if isinstance(layer_map, Stride):
         to_parent = lambda t: layer_map.start + t * layer_map.stride
-        stride = layer_map.stride
     else:
-        to_parent = lambda t: layer_map[t]
-        stride = None
+        to_parent = layer_map.__getitem__
 
-    if not path.infinite:
+    def lift(t0, steps):
+        """Parent names of reduced steps t0 .. t0 + steps - 1, each segment
+        without its last name."""
         names = []
-        for off in range(len(path.head) - 1):
-            t = path.start + off
-            seg = _least_segment(parent, to_parent(t), path.head[off],
-                                 to_parent(t + 1), path.head[off + 1])
-            names.extend(seg[:-1])
-        names.append(path.head[-1])
-        return MonotonePath(to_parent(path.start), tuple(names))
+        for t in range(t0, t0 + steps):
+            names += _least_segment(parent, to_parent(t), path.name_at(t),
+                                    to_parent(t + 1), path.name_at(t + 1))[:-1]
+        return tuple(names)
 
-    assert stride is not None, "infinite paths need an affine layer map"
-    span = len(path.cycle) * stride
+    start = to_parent(path.start)
+    if not path.infinite:
+        return MonotonePath(start, lift(path.start, len(path.head) - 1) + path.head[-1:])
+    # infinite paths come with a Stride map; unroll the cycle until its
+    # segments line up with the parent period
     bp = parent.period_length
-    repeat = bp // gcd(bp, span)
-
-    def seg(t, a, bname):
-        return _least_segment(parent, to_parent(t), a, to_parent(t + 1), bname)
-
-    head_names = []
-    for off in range(len(path.head)):
-        t = path.start + off
-        nxt = path.name_at(t + 1)
-        head_names.extend(seg(t, path.head[off], nxt)[:-1])
-    cycle_names = []
-    c0 = path.start + len(path.head)
-    for off in range(len(path.cycle) * repeat):
-        t = c0 + off
-        cycle_names.extend(seg(t, path.name_at(t), path.name_at(t + 1))[:-1])
-    return MonotonePath(to_parent(path.start), tuple(head_names), tuple(cycle_names))
+    repeat = bp // gcd(bp, len(path.cycle) * layer_map.stride)
+    return MonotonePath(start, lift(path.start, len(path.head)),
+                        lift(path.start + len(path.head), len(path.cycle) * repeat))
 
 
 def _extend_back(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
@@ -923,35 +881,21 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     uniform layer size after pruning; the result paths live in the original
     layer indexing.
     """
-    if lg.is_periodic:
-        pr = prune_to_spanning(lg)
-        g0 = pr.graph
-        sel = pr.selection
-        if sel is None and g0.num_prefix > 0:
-            sel = Stride(g0.num_prefix, 1)
-        if sel is not None:
-            g1, lmap = _reduce_with_map(g0, sel)
-        else:
-            g1, lmap = g0, None
-        paths1, trace = _cover_uniform_periodic(g1)
-        if lmap is not None:
-            paths1 = [_expand_path(g0, lmap, q) for q in paths1]
-        paths = tuple(_extend_back(lg, q) for q in paths1)
-        return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
-                           approximate=False)
-
     pr = prune_to_spanning(lg)
-    g0 = pr.graph
-    if pr.selection is not None:
-        g1, lmap = _reduce_with_map(g0, pr.selection)
+    g0, sel = pr.graph, pr.selection
+    if sel is None and g0.is_periodic and g0.num_prefix > 0:
+        sel = Stride(g0.num_prefix, 1)      # the recursion runs prefixless
+    if sel is not None:
+        g1, lmap = _reduce_with_map(g0, sel)
     else:
         g1, lmap = g0, None
-    paths1, trace = _cover_uniform_truncation(g1)
+    cover = _cover_uniform_periodic if g1.is_periodic else _cover_uniform_truncation
+    paths1, trace = cover(g1)
     if lmap is not None:
         paths1 = [_expand_path(g0, lmap, q) for q in paths1]
     paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
     return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
-                       approximate=True)
+                       approximate=pr.approximate)
 
 
 def _cover_uniform_periodic(g: LayeredGraph):
@@ -959,21 +903,19 @@ def _cover_uniform_periodic(g: LayeredGraph):
     size; returns exactly that many paths plus the trace."""
     k = _uniform_size(g)
     res = _stride_analysis(g)
-    if isinstance(res, _MatchInfo):
-        gn, lmap = _reduce_with_map(g, Stride(res.start, res.stride))
+    if isinstance(res, Stride):
+        gn, lmap = _reduce_with_map(g, res)
         pn = partition_by_matchings(gn)
         paths = [_expand_path(g, lmap, q) for q in pn]
         return paths, TraceNode(kind="match", k=k,
                                 selection=("stride", res.start, res.stride))
 
-    witness = _witness_from_fail(g, res)
-    mstart = g.num_prefix + res.phase + res.q0 * g.period_length
-    mstride = res.cycle * g.period_length
-    gm, lmapm = _reduce_with_map(g, Stride(mstart, mstride))
+    witness = res
+    ms = witness.witness_layers               # equally spaced, one V throughout
+    gm, lmapm = _reduce_with_map(g, Stride(ms[0], ms[1] - ms[0]))
     rel = gm.forward_map(0)                    # the wrap relation of gm
-    all_names = gm.period_layers[0]
-    v_names = tuple(sorted(res.V))
-    w_names = tuple(sorted(set(all_names) - set(res.V)))
+    v_names = witness.v_at(ms[0])
+    w_names = tuple(sorted(set(gm.period_layers[0]) - set(v_names)))
 
     def child(sub):
         keep = set(sub)
@@ -1003,28 +945,20 @@ def _cover_uniform_periodic(g: LayeredGraph):
 def _cover_uniform_truncation(g: LayeredGraph):
     """Truncation analogue: greedy matchable chain, else Hall split."""
     k = _uniform_size(g)
-    d = g.num_layers
     chain = [0]
-    while chain[-1] < d - 1:
-        cur = chain[-1]
-        found = None
-        for m in range(cur + 1, d):
-            if _perfect_matching(relation_between(g, cur, m), g.layer(cur)):
-                found = m
-                break
-        if found is None:
-            break
-        chain.append(found)
-
-    if chain[-1] == d - 1:
+    while chain[-1] < g.num_layers - 1:
+        res = _truncation_witness(g, chain[-1])
+        if isinstance(res, HallFailureWitness):
+            break                   # no deeper layer matches the chain's end
+        chain.append(res)
+    else:
         gn, lmap = _reduce_with_map(g, tuple(chain))
         pn = partition_by_matchings(gn)
         paths = [_expand_path(g, lmap, q) for q in pn]
         return paths, TraceNode(kind="match", k=k,
                                 selection=("layers", tuple(chain)))
 
-    # the chain stopped at n: no deeper layer matches n, so this is a witness
-    witness = _truncation_witness(g, chain[-1])
+    witness = res
     ms = witness.witness_layers
     vlen = witness.sizes[1]
     gm, lmapm = _reduce_with_map(g, ms)

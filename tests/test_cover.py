@@ -370,3 +370,24 @@ def test_golden_cover_digest():
     blob = json.dumps([[name, golden_record(lg)] for name, lg in golden_cases()])
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "33a36c60e7bc5d571d0f6d5406b26c98f815ad5348ae142c06162957c31222b1"
+
+
+@pytest.mark.parametrize("lg,calls", [
+    pytest.param(corpus.double_funnel_k4(), 6, id="periodic-double-funnel"),
+    pytest.param(random_truncation(243), 21, id="truncation-243"),
+])
+def test_cover_matches_each_layer_pair_once(monkeypatch, lg, calls):
+    # the decision functions keep the Hall certificates they compute, so a
+    # split matches each layer pair it tries once
+    from horoscope import npartite
+
+    seen = []
+
+    def counting(*args):
+        seen.append(args)
+        return h.matching_or_violator(*args)
+
+    monkeypatch.setattr(npartite, "matching_or_violator", counting)
+    res = h.monotone_cover(lg)
+    assert any(n.kind == "split" for n in walk_trace(res.trace))
+    assert len(seen) == calls

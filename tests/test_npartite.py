@@ -311,6 +311,16 @@ def test_stride_analysis_power_cap_is_budget_exhausted(long_cycle_funnel):
         h.monotone_cover(lg)
 
 
+def test_stride_analysis_empty_block_layer_is_typed():
+    # a typed error, not an assert that python -O strips into "matchings
+    # exist" on a graph without vertices
+    lg = h.LayeredGraph.periodic([[]], [], [])
+    with pytest.raises(h.EmptyGraph, match="empty block layer"):
+        h.find_hall_failure(lg)
+    with pytest.raises(h.EmptyGraph):
+        h.prune_to_spanning(lg)
+
+
 def test_hall_failure_truncation_mode():
     lg = corpus.hall_funnel().unfold(12)
     w = h.find_hall_failure(lg)

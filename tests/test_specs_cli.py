@@ -240,7 +240,9 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {"kind": "layered", "period": 5}),
             ("cover", {**HALL_SPEC, "period": {"layers": 5, "edges": []}}),
             ("cover", {**HALL_SPEC, "wrap": [["a"]]}),
-            ("cover", {**HALL_SPEC, "wrap": 5})]:
+            ("cover", {**HALL_SPEC, "wrap": 5}),
+            ("cover", {"kind": "layered", "layers": [["a", 1]], "edges": []}),
+            ("cover", {"kind": "layered", "period": {"layers": [["a", 1]]}})]:
         assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
