@@ -15,7 +15,7 @@ x.f(y) = f(x^-1 y) - f(x^-1); for Busemann tables this is x.b_z = b_{xz}.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Any
@@ -217,6 +217,21 @@ class Free2:
         return len(x) + len(y) - 2 * i
 
     @staticmethod
+    def busemann_row(z, ball):
+        """(|z|, the values b_z(y) = |y| - 2 lcp(z, y) for y in ``ball``).
+
+        ``ball`` is a sorted tuple of reduced words, in which the words with
+        prefix z[:i] form one contiguous range; each of these nested ranges
+        is lowered by 2."""
+        row = list(map(len, ball))
+        lo, hi = 0, len(ball)
+        for i in range(1, len(z) + 1):
+            lo = bisect_left(ball, z[:i], lo, hi)
+            hi = bisect_left(ball, z[:i] + "~", lo, hi)  # "~" sorts after every letter
+            row[lo:hi] = [v - 2 for v in row[lo:hi]]
+        return len(z), tuple(row)
+
+    @staticmethod
     def token(obj):
         if not isinstance(obj, str):
             raise MalformedSpec(f"free-2 element must be a string, got {obj!r}")
@@ -256,7 +271,9 @@ class CayleyGraph(RootedGraph):
     """Cayley graph rooted at the identity; neighbors of x are x*s.
 
     On the standard generating set the family's closed-form metric gives
-    every distance.  On a custom generating set, distances are word
+    every distance, and a family that has a closed-form Busemann row
+    (free-2: ``Free2.busemann_row``) gives every Busemann table through it,
+    with no per-vertex distance.  On a custom generating set, distances are word
     lengths: the graph is vertex-transitive, so d(z, y) = |z^-1 y|, read
     from the one memoized BFS ball about the identity, which grows layer by
     layer as deeper words are read.  No BFS runs from any other source.
@@ -274,6 +291,7 @@ class CayleyGraph(RootedGraph):
             exact = getattr(group, "distance", None)
             if exact is None:
                 exact = lambda x, y: group.norm(group.mul(group.inv(x), y))
+            self.busemann_row = getattr(group, "busemann_row", None)
         super().__init__(
             lambda x: [group.mul(x, s) for s in self.generators],
             group.identity, degree_bound=len(self.generators),
@@ -350,7 +368,10 @@ def cayley_graph(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> CayleyGraph:
 
 def act(x, f: ValueMap, g: CayleyGraph, budget: int = DEFAULT_BUDGET) -> ValueMap:
     """x.f(y) = f(x^-1 y) - f(x^-1), restricted to the ball of radius
-    f.radius - |x| so every lookup stays inside f's domain."""
+    f.radius - |x| so every lookup stays inside f's domain.
+
+    Each f(x^-1 y) is gathered by bisecting f's sorted domain
+    (:meth:`ValueMap.index`), on every family; no dict of f is built."""
     if not isinstance(g, CayleyGraph):
         raise TypeError("act requires a Cayley graph")
     if f.radius is None:
@@ -362,18 +383,17 @@ def act(x, f: ValueMap, g: CayleyGraph, budget: int = DEFAULT_BUDGET) -> ValueMa
             f"|x| = {word_len} exceeds the map's domain radius {f.radius}")
     out_r = f.radius - word_len
     ball = layer_decomposition(g, out_r, budget).ball()
-    fd = f.as_dict()
+    index, values, mul = f.index, f.values, group.mul
     xinv = group.inv(x)
-    if xinv not in fd:
-        raise DomainTooSmall(f"f is not defined at x^-1 = {xinv!r}")
-    fx = fd[xinv]
-    out = []
-    for y in ball:
-        key = group.mul(xinv, y)
-        if key not in fd:
-            raise DomainTooSmall(f"f is not defined at {key!r}")
-        out.append(fd[key] - fx)
-    return ValueMap(ball, tuple(out), radius=out_r)
+    try:
+        fx = values[index(xinv)]
+    except KeyError:
+        raise DomainTooSmall(f"f is not defined at x^-1 = {xinv!r}") from None
+    try:
+        out = tuple([values[index(mul(xinv, y))] - fx for y in ball])
+    except KeyError as missing:
+        raise DomainTooSmall(f"f is not defined at {missing.args[0]!r}") from None
+    return ValueMap(ball, out, radius=out_r)
 
 
 # ---------------------------------------------------------------------------

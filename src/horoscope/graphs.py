@@ -11,7 +11,11 @@ Every distance query goes through one oracle, :func:`_metric_from`: the
 graph's closed-form metric when it has one, otherwise the graph's own search.
 A plain graph runs a BFS from the source; a Cayley graph is vertex-transitive,
 so it reads d(z, y) = |z^-1 y| from its memoized ball about the identity
-(see :class:`~horoscope.cayley.CayleyGraph`).
+(see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann table is one such
+read per ball vertex, except on a graph with a closed-form row
+(``RootedGraph.busemann_row``; free-2 on its standard generators), which
+gives the whole table from the sorted ball.  :class:`ValueMap` lookups bisect
+the sorted domain, and ``cayley.act`` gathers through that same lookup.
 
 All operations are pure; graphs are immutable apart from internal memo
 tables, and results are independent of call history.  The ball memo grows
@@ -71,8 +75,13 @@ class RootedGraph:
     ``_layers`` and ``_ball_sizes`` list complete layers only; readers take
     a depth beyond them as not yet memoized, so none acts on a half-built
     layer.  Subclasses may override :meth:`_metric`, the distance search
-    used when there is no exact metric.
+    used when there is no exact metric, and may set ``busemann_row`` (None
+    here) to a closed form (z, sorted ball) -> (d(z, o), the values b_z(y)
+    in ball order), which then gives every Busemann table in place of one
+    distance per vertex.
     """
+
+    busemann_row: Callable[[Vertex, tuple], tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(self, neighbor_fn: Callable[[Vertex], Iterable[Vertex]],
                  basepoint: Vertex, *, degree_bound: int | None = None,
@@ -218,11 +227,15 @@ class ValueMap:
             object.__setattr__(self, "_dict", memo)
         return memo
 
-    def value(self, v: Vertex) -> int:
+    def index(self, v: Vertex) -> int:
+        """The position of v in ``domain``, by bisection; KeyError if absent."""
         i = bisect_left(self.domain, v)
         if i == len(self.domain) or self.domain[i] != v:
             raise KeyError(v)
-        return self.values[i]
+        return i
+
+    def value(self, v: Vertex) -> int:
+        return self.values[self.index(v)]
 
     def restrict(self, tokens, radius: int | None = None) -> "ValueMap":
         keep = set(tokens)
@@ -320,7 +333,10 @@ def distance(g: RootedGraph, x: Vertex, y: Vertex,
 
 def _busemann_values(g: RootedGraph, z: Vertex, ball: tuple[Vertex, ...],
                      budget: int) -> tuple[int, tuple[int, ...]]:
-    """(d(z, o), the values b_z(y) for y in ball); ball must contain o."""
+    """(d(z, o), the values b_z(y) for y in ball); ball must be sorted and
+    contain o."""
+    if g.busemann_row is not None:
+        return g.busemann_row(z, ball)
     ed = g.exact_distance
     if ed is not None:
         # the closed form is called directly: this loop runs ~1M times per

@@ -85,6 +85,8 @@ def matching_or_violator(left, right, adjacency):
         return Matching(tuple(sorted(match_left.items())))
     match_right = {v: u for u, v in match_left.items()}
     start = min(u for u in left if u not in match_left)
+    # the matching is maximum, so every v reached is matched (else an
+    # augmenting path exists) and adds its own partner: |ys| = |nbhd| + 1
     ys = {start}
     nbhd: set = set()
     frontier = [start]
@@ -98,5 +100,4 @@ def matching_or_violator(left, right, adjacency):
             if w is not None and w not in ys:
                 ys.add(w)
                 frontier.append(w)
-    assert len(nbhd) < len(ys)
     return HallViolator(tuple(sorted(ys)), tuple(sorted(nbhd)))

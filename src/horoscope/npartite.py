@@ -864,7 +864,8 @@ def _extend_forward(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
 
 def _uniform_size(lg: LayeredGraph) -> int:
     sizes = {len(l) for l in lg.prefix_layers + lg.period_layers}
-    assert len(sizes) == 1, f"layers not uniform: {sizes}"
+    if len(sizes) != 1:
+        raise UnequalLayers(f"layers not uniform: sizes {sorted(sizes)}")
     return sizes.pop()
 
 
@@ -930,7 +931,6 @@ def _cover_uniform_periodic(g: LayeredGraph):
 
     paths_a, trace_a, dropped_a = child(v_names)
     paths_b, trace_b, dropped_b = child(w_names)
-    assert not dropped_a, "funnel sets are forward closed"
     padded = dropped_a + dropped_b
     pad_paths = [_greedy_walk(rel, u) for u in padded]
     paths_m = list(paths_a) + list(paths_b) + pad_paths
@@ -938,7 +938,6 @@ def _cover_uniform_periodic(g: LayeredGraph):
     trace = TraceNode(kind="split", k=k, witness=witness,
                       v=len(v_names), w=len(w_names),
                       children=(trace_a, trace_b), padded=padded)
-    assert len(paths) == k
     return paths, trace
 
 
@@ -984,7 +983,6 @@ def _cover_uniform_truncation(g: LayeredGraph):
     paths = [_expand_path(g, lmapm, q) for q in paths_m]
     trace = TraceNode(kind="split", k=k, witness=witness, v=vlen, w=k - vlen,
                       children=(trace_a, trace_b), padded=padded)
-    assert len(paths) == k
     return paths, trace
 
 

@@ -92,6 +92,21 @@ def test_free2_mul_matches_naive_reduction(xs, ys):
     assert Free2.distance(x, y) == len(Free2.mul(Free2.inv(x), y))
 
 
+def test_free2_busemann_row_matches_distance(graphs):
+    ld = h.layer_decomposition(graphs["free2"], 8)
+    ref_ball = ld.ball()
+    # every z in B_4 (the identity among them), and for each ball B_r a word
+    # of length r + 3, whose deeper prefix ranges are empty there
+    sources = ld.ball(4) + tuple(("abAB" * 3)[: r + 3] for r in range(9))
+    for z in sources:
+        ref = {y: Free2.distance(z, y) - len(z) for y in ref_ball}
+        for r in range(9):
+            ball = ld.ball(r)
+            base, row = Free2.busemann_row(z, ball)
+            assert base == len(z)
+            assert row == tuple(ref[y] for y in ball)
+
+
 # ---------------------------------------------------------------- the action
 
 
@@ -119,6 +134,39 @@ def test_act_domain_too_small(graphs):
     f = h.busemann(g, 5, 2).values
     with pytest.raises(h.DomainTooSmall):
         h.act(3, f, g)
+
+
+def test_act_free2_identity_and_domain_too_small(graphs):
+    g = graphs["free2"]
+    f = h.busemann(g, "abA", 8).values
+    assert h.act("", f, g) == f
+    f = h.busemann(g, "ab", 2).values
+    with pytest.raises(h.DomainTooSmall, match="x\\^-1 = 'A'"):
+        h.act("a", f.restrict(set(f.domain) - {"A"}, radius=2), g)
+    # x = a gives out_r = 1, and a^-1 b = Ab lies in B_2
+    with pytest.raises(h.DomainTooSmall, match="'Ab'"):
+        h.act("a", f.restrict(set(f.domain) - {"Ab"}, radius=2), g)
+    with pytest.raises(h.DomainTooSmall):
+        h.act("aba", f, g)
+
+
+def test_free2_busemann_and_act_read_no_distance_or_dict(monkeypatch):
+    # a table is one closed-form row, and act bisects f's domain
+    g = h.cayley_graph(h.GroupSpec("free-2"))
+    calls = []
+    exact = g.exact_distance
+    monkeypatch.setattr(g, "exact_distance",
+                        lambda x, y: calls.append(1) or exact(x, y))
+    f = h.busemann(g, "abA", 8).values
+    assert calls == []
+    assert len(f.domain) == 2 * 3 ** 8 - 1
+
+    def no_dict(self):
+        raise AssertionError("act must not build a dict of the map")
+
+    monkeypatch.setattr(h.ValueMap, "as_dict", no_dict)
+    moved = h.act("ba", f, g)
+    assert moved == h.busemann(g, g.group.mul("ba", "abA"), 6).values
 
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))

@@ -3,6 +3,8 @@ import pytest
 import horoscope as h
 from horoscope import corpus
 from horoscope.npartite import (
+    _cover_uniform_periodic,
+    _cover_uniform_truncation,
     enumerate_spanning_paths,
     relation_between,
 )
@@ -319,6 +321,18 @@ def test_stride_analysis_empty_block_layer_is_typed():
         h.find_hall_failure(lg)
     with pytest.raises(h.EmptyGraph):
         h.prune_to_spanning(lg)
+
+
+def test_uniform_recursion_rejects_unequal_layers():
+    # the cover recursion's precondition is a typed error, not an assert
+    # that python -O strips into "k is the size of some layer"
+    trunc = h.LayeredGraph.truncation([["a"], ["b", "c"]], [[("a", "b"), ("a", "c")]])
+    with pytest.raises(h.UnequalLayers, match=r"sizes \[1, 2\]"):
+        _cover_uniform_truncation(trunc)
+    periodic = h.LayeredGraph.periodic(
+        [["a"], ["b", "c"]], [[("a", "b"), ("a", "c")]], [("b", "a"), ("c", "a")])
+    with pytest.raises(h.UnequalLayers):
+        _cover_uniform_periodic(periodic)
 
 
 def test_hall_failure_truncation_mode():
