@@ -238,10 +238,13 @@ class ValueMap:
         return self.values[self.index(v)]
 
     def restrict(self, tokens, radius: int | None = None) -> "ValueMap":
-        keep = set(tokens)
-        pairs = [(t, x) for t, x in zip(self.domain, self.values) if t in keep]
-        return ValueMap(tuple(t for t, _ in pairs), tuple(x for _, x in pairs),
-                        radius)
+        """The map on those ``tokens`` (any iterable) that lie in the domain,
+        each found by bisection; the result keeps domain order."""
+        dom = self.domain
+        keep = sorted({i for t in tokens
+                       if (i := bisect_left(dom, t)) < len(dom) and dom[i] == t})
+        return ValueMap(tuple(dom[i] for i in keep),
+                        tuple(self.values[i] for i in keep), radius)
 
 
 # ---------------------------------------------------------------------------

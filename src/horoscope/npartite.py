@@ -19,10 +19,13 @@ every result is flagged approximate.
 
 There is one relation type: the successor map ``{name: frozenset(names)}``
 keyed by the names of the source layer, in layer order.  A LayeredGraph
-builds it once per stored step (prefix steps, seam, period steps, wrap)
-when it is constructed, and ``forward_map(i)`` returns the stored map of
-unfolded step i; reachability over several steps (``relation_between``)
-composes these maps and has the same type.
+stores its graph once, as its stored layers plus one such map per stored
+step (prefix steps, seam, period steps, wrap); ``truncation`` and
+``periodic`` turn edge pairs into maps once, and every graph derived from
+another (reachability reductions, restrictions, unfoldings) is built
+straight from maps.  ``forward_map(i)`` returns the stored map of unfolded
+step i, ``edge_pairs(i)`` is a view of it as pairs, and reachability over
+several steps (``relation_between``) composes the maps and has their type.
 
 The monotone cover is the showpiece: k monotone paths such that every
 infinite monotone path shares infinitely many vertices with one of them,
@@ -77,20 +80,21 @@ Name = Any  # vertex name within one layer: any sortable, hashable value
 class LayeredGraph:
     """Finitely described layered graph (truncation or eventually periodic).
 
-    ``period_layers`` empty means truncation mode.  In periodic mode,
-    ``period_edges`` has one entry per block layer: entry j < B-1 joins block
-    layers j and j+1, and the last entry is the wrap relation from block
-    layer B-1 to block layer 0 of the next copy.  Unfolded layer i carries
-    the vertex set of prefix layer i (i < P) or period layer (i - P) mod B.
-    ``layer_tags`` optionally labels truncation layers (sphere quotients
-    store their sphere radii there).
+    ``layers`` holds the stored layers: the prefix, then one period block of
+    ``period_length`` layers (0 for a truncation, whose layers are all
+    prefix).  ``steps`` holds one successor map per stored step, in unfolded
+    order: the prefix steps, the seam into block layer 0, the block steps,
+    and the wrap from the last block layer to block layer 0 of the next
+    copy.  A truncation of n layers stores n - 1 steps, a periodic graph one
+    step per stored layer.  Unfolded layer i is stored layer i up to the end
+    of the first block, then block layer (i - P) mod B; unfolded steps follow
+    the same rule.  ``layer_tags`` optionally labels truncation layers
+    (sphere quotients store their sphere radii there).
     """
 
-    prefix_layers: tuple[tuple[Name, ...], ...]
-    prefix_edges: tuple[frozenset, ...]
-    seam_edges: frozenset | None
-    period_layers: tuple[tuple[Name, ...], ...]
-    period_edges: tuple[frozenset, ...]
+    layers: tuple[tuple[Name, ...], ...]
+    steps: tuple[dict, ...]
+    period_length: int = 0
     layer_tags: tuple | None = None
 
     # -- construction -------------------------------------------------------
@@ -99,13 +103,12 @@ class LayeredGraph:
     def truncation(cls, layers, steps, tags=None) -> "LayeredGraph":
         """Truncation from layer name lists and per-step edge pair lists."""
         layers = _layer_tuples(layers)
-        steps = tuple(map(_pair_set, steps))
+        steps = list(steps)
         if len(steps) != max(len(layers) - 1, 0):
             raise MalformedSpec(
                 f"{len(layers)} layers need {len(layers) - 1} edge steps, "
                 f"got {len(steps)}")
-        return cls(prefix_layers=layers, prefix_edges=steps, seam_edges=None,
-                   period_layers=(), period_edges=(),
+        return cls(layers, tuple(map(_succ_map, layers, steps)),
                    layer_tags=tuple(tags) if tags is not None else None)
 
     @classmethod
@@ -120,115 +123,86 @@ class LayeredGraph:
         period_layers = _layer_tuples(period_layers)
         if not period_layers:
             raise MalformedSpec("periodic description needs a nonempty period block")
-        period_steps = tuple(map(_pair_set, period_steps))
+        period_steps = list(period_steps)
         if len(period_steps) != len(period_layers) - 1:
             raise MalformedSpec(
                 f"period of {len(period_layers)} layers needs "
                 f"{len(period_layers) - 1} internal steps, got {len(period_steps)}")
         prefix_layers = _layer_tuples(prefix_layers)
-        prefix_steps = tuple(map(_pair_set, prefix_steps))
+        prefix_steps = list(prefix_steps)
         if len(prefix_steps) != max(len(prefix_layers) - 1, 0):
             raise MalformedSpec("prefix step count does not match prefix layers")
         if bool(prefix_layers) != (seam is not None):
             raise MalformedSpec("seam edges required exactly when a prefix is present")
-        return cls(prefix_layers=prefix_layers, prefix_edges=prefix_steps,
-                   seam_edges=_pair_set(seam) if seam is not None else None,
-                   period_layers=period_layers,
-                   period_edges=period_steps + (_pair_set(wrap),))
+        layers = prefix_layers + period_layers
+        steps = prefix_steps + ([seam] if prefix_layers else []) + period_steps + [wrap]
+        return cls(layers, tuple(map(_succ_map, layers, steps)), len(period_layers))
 
     def __post_init__(self):
-        # one successor map per stored step, in the order of _stored_steps
-        layers = self.prefix_layers + self.period_layers
-        steps = self._stored_steps
-        succ = []
-        for s, pairs in enumerate(steps):
-            if s < self.num_prefix - 1:
-                where = f"prefix step {s}"
-            elif s == self.num_prefix - 1:
-                where = "seam"
-            elif s == len(steps) - 1:
-                where = "wrap"
-            else:
-                where = f"period step {s - self.num_prefix}"
-            dst = layers[s + 1] if s + 1 < len(layers) else self.period_layers[0]
-            succ.append(self._check_step(pairs, layers[s], dst, where))
-        object.__setattr__(self, "_succ", tuple(succ))
-
-    @staticmethod
-    def _check_step(pairs, src, dst, where) -> dict:
-        """Successor map {name: frozenset} of one step, checking its names."""
-        out = {a: set() for a in src}
-        dst = set(dst)
-        for a, b in pairs:
-            if a not in out or b not in dst:
-                raise MalformedSpec(f"{where}: edge ({a!r}, {b!r}) references unknown names")
-            out[a].add(b)
-        return {a: frozenset(t) for a, t in out.items()}
+        # every step's names, whether parsed from pairs or derived from maps
+        p, n = self.num_prefix, len(self.layers)
+        ends = self.layers + self.layers[p:p + 1]     # the wrap ends in block layer 0
+        for s, succ in enumerate(self.steps):
+            src, dst = set(ends[s]), set(ends[s + 1])
+            for a, ts in succ.items():
+                if a not in src or not ts <= dst:
+                    where = ("seam" if s == p - 1 else "wrap" if s == n - 1
+                             else f"prefix step {s}" if s < p else f"period step {s - p}")
+                    b = next(iter(ts - dst or ts), None)
+                    raise MalformedSpec(
+                        f"{where}: edge ({a!r}, {b!r}) references unknown names")
 
     # -- shape ---------------------------------------------------------------
 
     @property
     def is_periodic(self) -> bool:
-        return bool(self.period_layers)
+        return self.period_length > 0
 
     @property
     def num_prefix(self) -> int:
-        return len(self.prefix_layers)
+        return len(self.layers) - self.period_length
 
     @property
-    def period_length(self) -> int:
-        return len(self.period_layers)
+    def prefix_layers(self) -> tuple[tuple[Name, ...], ...]:
+        return self.layers[:self.num_prefix]
+
+    @property
+    def period_layers(self) -> tuple[tuple[Name, ...], ...]:
+        return self.layers[self.num_prefix:]
 
     @property
     def num_layers(self) -> int | None:
         """Layer count for truncations, None for periodic graphs."""
-        return None if self.is_periodic else len(self.prefix_layers)
+        return None if self.is_periodic else len(self.layers)
 
     @property
     def k(self) -> int:
         """Maximum layer cardinality."""
-        sizes = [len(l) for l in self.prefix_layers + self.period_layers]
-        return max(sizes, default=0)
+        return max(map(len, self.layers), default=0)
+
+    def _stored(self, i: int, count: int) -> int:
+        """Position of unfolded layer or step i among ``count`` stored ones."""
+        if i < 0 or (i >= count and not self.is_periodic):
+            raise IndexError(f"unfolded index {i} out of range")
+        if i < count:
+            return i
+        return self.num_prefix + (i - self.num_prefix) % self.period_length
 
     def layer(self, i: int) -> tuple[Name, ...]:
-        if i < 0:
-            raise IndexError(i)
-        if i < self.num_prefix:
-            return self.prefix_layers[i]
-        if not self.is_periodic:
-            raise IndexError(f"layer {i} beyond truncation depth")
-        return self.period_layers[(i - self.num_prefix) % self.period_length]
-
-    @property
-    def _stored_steps(self) -> tuple[frozenset, ...]:
-        """Prefix steps, seam, period steps and wrap, in unfolded order."""
-        seam = () if self.seam_edges is None else (self.seam_edges,)
-        return self.prefix_edges + seam + self.period_edges
-
-    def _step_index(self, i: int) -> int:
-        """Position of unfolded step i (layer i to i+1) among the stored steps."""
-        p = self.num_prefix
-        if i < 0:
-            raise IndexError(i)
-        if i < p - 1 or (i == p - 1 and self.is_periodic):
-            return i
-        if not self.is_periodic:
-            raise IndexError(f"no step {i} in a truncation of {p} layers")
-        return p + (i - p) % self.period_length
-
-    def edge_pairs(self, i: int) -> frozenset:
-        """Edges between unfolded layers i and i+1."""
-        return self._stored_steps[self._step_index(i)]
+        return self.layers[self._stored(i, len(self.layers))]
 
     def forward_map(self, i: int) -> dict:
         """Successors {name of layer i: frozenset of layer-(i+1) names}."""
-        return self._succ[self._step_index(i)]
+        return self.steps[self._stored(i, len(self.steps))]
+
+    def edge_pairs(self, i: int) -> frozenset:
+        """Edges between unfolded layers i and i+1."""
+        return frozenset((a, b) for a, ts in self.forward_map(i).items() for b in ts)
 
     def unfold(self, depth: int) -> "LayeredGraph":
         """Truncation holding layers 0..depth of the unfolding."""
-        layers = [self.layer(i) for i in range(depth + 1)]
-        steps = [self.edge_pairs(i) for i in range(depth)]
-        return LayeredGraph.truncation(layers, steps)
+        return LayeredGraph(tuple(map(self.layer, range(depth + 1))),
+                            tuple(map(self.forward_map, range(depth))))
 
 
 def _layer_tuples(layers) -> tuple[tuple[Name, ...], ...]:
@@ -240,8 +214,13 @@ def _layer_tuples(layers) -> tuple[tuple[Name, ...], ...]:
                             f"comparable: {exc}") from None
 
 
-def _pair_set(step) -> frozenset:
-    return frozenset((a, b) for a, b in step)
+def _succ_map(src, pairs) -> dict:
+    """Successor map of edge pairs leaving layer ``src``; a source name outside
+    the layer gets its own entry, for the check in LayeredGraph."""
+    out = {a: set() for a in src}
+    for a, b in pairs:
+        out.setdefault(a, set()).add(b)
+    return {a: frozenset(ts) for a, ts in out.items()}
 
 
 def build_layered(spec: dict) -> LayeredGraph:
@@ -335,11 +314,6 @@ class MonotonePath:
             return self.head[off]
         return self.cycle[(off - len(self.head)) % len(self.cycle)]
 
-    def entries(self, upto: int) -> list[tuple[int, Name]]:
-        """(layer, name) pairs for covered layers up to ``upto`` inclusive."""
-        return [(i, self.name_at(i)) for i in range(self.start, upto + 1)
-                if self.covers(i)]
-
     def validate(self, lg: LayeredGraph, depth: int = 64) -> None:
         """Check adjacency and layer membership on the first ``depth`` layers."""
         last = depth if self.infinite else min(self.end, depth)
@@ -368,10 +342,6 @@ def relation_between(lg: LayeredGraph, i: int, j: int) -> dict:
     return rel
 
 
-def _rel_pairs(rel):
-    return [(a, b) for a, ts in rel.items() for b in ts]
-
-
 def _reaching(lg: LayeredGraph, lo: int, j: int, target: set) -> list[set]:
     """Reach sets of layers lo, ..., j: entry t - lo holds the names of layer
     t with a monotone path into ``target``, a set of layer-j names."""
@@ -381,19 +351,6 @@ def _reaching(lg: LayeredGraph, lo: int, j: int, target: set) -> list[set]:
         reach.append({a for a in lg.layer(t) if succ[a] & reach[-1]})
     reach.reverse()
     return reach
-
-
-def _assemble(layers, steps, num_prefix=None, tags=None) -> LayeredGraph:
-    """Graph from unfolded layers and the steps that follow each of them: a
-    truncation when ``num_prefix`` is None (one step fewer than layers), else
-    periodic with the layers from ``num_prefix`` on as the block and the last
-    step as the wrap."""
-    if num_prefix is None:
-        return LayeredGraph.truncation(layers, steps, tags=tags)
-    p = num_prefix
-    return LayeredGraph.periodic(
-        layers[p:], steps[p:-1], steps[-1], prefix_layers=layers[:p],
-        prefix_steps=steps[:max(p - 1, 0)], seam=steps[p - 1] if p else None)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +364,15 @@ class Stride(NamedTuple):
     stride: int
 
 
-def _reduce_with_map(lg: LayeredGraph, selection):
-    """Reachability graph on a layer subsequence plus the index map back.
+def monotone_reachability(lg: LayeredGraph, selection) -> LayeredGraph:
+    """The layered graph on a subsequence of layers, with an edge exactly
+    when a monotone path joins the endpoints in ``lg``.
 
-    Returns (reduced graph, layer_map) where layer_map sends a reduced layer
-    index to the parent layer index: a Stride acts affinely, an explicit
-    tuple by lookup.
+    ``selection`` is either a strictly increasing index sequence (the result
+    is a truncation) or a :class:`Stride` on a periodic graph (the result is
+    again eventually periodic).  Reduced layer t is layer selection[t] of
+    ``lg`` (start + t * stride for a Stride), and each stored step is the
+    ``relation_between`` map of its two selected layers, used as it is.
     """
     if isinstance(selection, Stride):
         if not lg.is_periodic:
@@ -424,30 +384,20 @@ def _reduce_with_map(lg: LayeredGraph, selection):
         # selected indices below the prefix boundary become the new prefix;
         # the new block holds b / gcd(b, stride) selected layers, then wraps
         n_pre = len(range(start, p, stride))
-        idx = [start + u * stride for u in range(n_pre + b // gcd(b, stride) + 1)]
-        steps = [_rel_pairs(relation_between(lg, s, t)) for s, t in zip(idx, idx[1:])]
-        return _assemble([lg.layer(i) for i in idx[:-1]], steps, n_pre), selection
-
-    idx = tuple(selection)
-    if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
-        raise MalformedSubsequence(f"selection must be strictly increasing, got {idx}")
-    if not lg.is_periodic and idx[-1] >= lg.num_layers:
-        raise MalformedSubsequence(f"selection exceeds truncation depth {lg.num_layers}")
-    layers = [lg.layer(i) for i in idx]
-    steps = [_rel_pairs(relation_between(lg, s, t)) for s, t in zip(idx, idx[1:])]
-    tags = tuple(lg.layer_tags[i] for i in idx) if lg.layer_tags else None
-    return LayeredGraph.truncation(layers, steps, tags=tags), idx
-
-
-def monotone_reachability(lg: LayeredGraph, selection) -> LayeredGraph:
-    """The layered graph on a subsequence of layers, with an edge exactly
-    when a monotone path joins the endpoints in ``lg``.
-
-    ``selection`` is either a strictly increasing index sequence (the result
-    is a truncation) or a :class:`Stride` on a periodic graph (the result is
-    again eventually periodic).
-    """
-    return _reduce_with_map(lg, selection)[0]
+        period = b // gcd(b, stride)
+        idx = [start + u * stride for u in range(n_pre + period + 1)]
+        layers = idx[:-1]
+    else:
+        idx = layers = tuple(selection)
+        if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
+            raise MalformedSubsequence(f"selection must be strictly increasing, got {idx}")
+        if not lg.is_periodic and idx[-1] >= lg.num_layers:
+            raise MalformedSubsequence(f"selection exceeds truncation depth {lg.num_layers}")
+        period = 0
+    return LayeredGraph(tuple(map(lg.layer, layers)),
+                        tuple(relation_between(lg, s, t) for s, t in zip(idx, idx[1:])),
+                        period,
+                        tuple(lg.layer_tags[i] for i in layers) if lg.layer_tags else None)
 
 
 # ---------------------------------------------------------------------------
@@ -472,13 +422,13 @@ class PruneResult:
 
 
 def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
-    """Subgraph on the names keep[i] of each stored layer i (every layer of a
-    truncation; the prefix and one block of a periodic graph)."""
-    p = lg.num_prefix if lg.is_periodic else None
-    ends = list(keep) + ([keep[p]] if lg.is_periodic else [])  # wrap: block layer 0
-    steps = [[(a, b) for a, b in lg.edge_pairs(i) if a in ends[i] and b in ends[i + 1]]
-             for i in range(len(ends) - 1)]
-    return _assemble([tuple(sorted(s)) for s in keep], steps, p, tags=lg.layer_tags)
+    """Subgraph on the names keep[i] (a set) of each stored layer i."""
+    p = lg.num_prefix
+    ends = list(keep) + list(keep[p:p + 1])     # the wrap ends in block layer 0
+    layers = tuple(tuple(sorted(s)) for s in keep)
+    steps = tuple({a: succ[a] & ends[s + 1] for a in layers[s]}
+                  for s, succ in enumerate(lg.steps))
+    return LayeredGraph(layers, steps, lg.period_length, lg.layer_tags)
 
 
 def _dropped(lg: LayeredGraph, keep) -> tuple:
@@ -765,11 +715,6 @@ class CoverResult:
     approximate: bool
 
 
-def _slp(names, rel_pairs) -> LayeredGraph:
-    """Single-layer-period graph: every layer the same name set, wrap = rel."""
-    return LayeredGraph.periodic([names], [], rel_pairs)
-
-
 def _greedy_walk(rel: dict, start: Name) -> MonotonePath:
     """Deterministic infinite walk in a single-layer-period relation: always
     step to the least successor; the visit sequence is eventually periodic."""
@@ -793,13 +738,13 @@ def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     return tuple(out)
 
 
-def _expand_path(parent: LayeredGraph, layer_map, path: MonotonePath) -> MonotonePath:
-    """Lift a path through a reachability reduction: each reduced edge becomes
-    its least realizing monotone segment in the parent."""
-    if isinstance(layer_map, Stride):
-        to_parent = lambda t: layer_map.start + t * layer_map.stride
+def _expand_path(parent: LayeredGraph, selection, path: MonotonePath) -> MonotonePath:
+    """Lift a path through ``monotone_reachability(parent, selection)``: each
+    reduced edge becomes its least realizing monotone segment in the parent."""
+    if isinstance(selection, Stride):
+        to_parent = lambda t: selection.start + t * selection.stride
     else:
-        to_parent = layer_map.__getitem__
+        to_parent = selection.__getitem__
 
     def lift(t0, steps):
         """Parent names of reduced steps t0 .. t0 + steps - 1, each segment
@@ -813,10 +758,10 @@ def _expand_path(parent: LayeredGraph, layer_map, path: MonotonePath) -> Monoton
     start = to_parent(path.start)
     if not path.infinite:
         return MonotonePath(start, lift(path.start, len(path.head) - 1) + path.head[-1:])
-    # infinite paths come with a Stride map; unroll the cycle until its
+    # infinite paths come with a Stride; unroll the cycle until its
     # segments line up with the parent period
     bp = parent.period_length
-    repeat = bp // gcd(bp, len(path.cycle) * layer_map.stride)
+    repeat = bp // gcd(bp, len(path.cycle) * selection.stride)
     return MonotonePath(start, lift(path.start, len(path.head)),
                         lift(path.start + len(path.head), len(path.cycle) * repeat))
 
@@ -830,7 +775,7 @@ def _extend_back(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
     prefix = []
     cur = first
     while start > 0:
-        back = [a for a, b in lg.edge_pairs(start - 1) if b == cur]
+        back = [a for a, ts in lg.forward_map(start - 1).items() if cur in ts]
         if not back:
             break
         cur = min(back)
@@ -863,7 +808,7 @@ def _extend_forward(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
 
 
 def _uniform_size(lg: LayeredGraph) -> int:
-    sizes = {len(l) for l in lg.prefix_layers + lg.period_layers}
+    sizes = set(map(len, lg.layers))
     if len(sizes) != 1:
         raise UnequalLayers(f"layers not uniform: sizes {sorted(sizes)}")
     return sizes.pop()
@@ -886,14 +831,11 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     g0, sel = pr.graph, pr.selection
     if sel is None and g0.is_periodic and g0.num_prefix > 0:
         sel = Stride(g0.num_prefix, 1)      # the recursion runs prefixless
-    if sel is not None:
-        g1, lmap = _reduce_with_map(g0, sel)
-    else:
-        g1, lmap = g0, None
+    g1 = g0 if sel is None else monotone_reachability(g0, sel)
     cover = _cover_uniform_periodic if g1.is_periodic else _cover_uniform_truncation
     paths1, trace = cover(g1)
-    if lmap is not None:
-        paths1 = [_expand_path(g0, lmap, q) for q in paths1]
+    if sel is not None:
+        paths1 = [_expand_path(g0, sel, q) for q in paths1]
     paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
     return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
                        approximate=pr.approximate)
@@ -905,24 +847,22 @@ def _cover_uniform_periodic(g: LayeredGraph):
     k = _uniform_size(g)
     res = _stride_analysis(g)
     if isinstance(res, Stride):
-        gn, lmap = _reduce_with_map(g, res)
-        pn = partition_by_matchings(gn)
-        paths = [_expand_path(g, lmap, q) for q in pn]
+        pn = partition_by_matchings(monotone_reachability(g, res))
+        paths = [_expand_path(g, res, q) for q in pn]
         return paths, TraceNode(kind="match", k=k,
                                 selection=("stride", res.start, res.stride))
 
     witness = res
     ms = witness.witness_layers               # equally spaced, one V throughout
-    gm, lmapm = _reduce_with_map(g, Stride(ms[0], ms[1] - ms[0]))
+    sel = Stride(ms[0], ms[1] - ms[0])
+    gm = monotone_reachability(g, sel)         # one layer: the block is a period
     rel = gm.forward_map(0)                    # the wrap relation of gm
     v_names = witness.v_at(ms[0])
-    w_names = tuple(sorted(set(gm.period_layers[0]) - set(v_names)))
+    w_names = tuple(sorted(set(gm.layer(0)) - set(v_names)))
 
     def child(sub):
-        keep = set(sub)
-        sub_rel = [(a, bb) for a in sub for bb in rel[a] if bb in keep]
         try:
-            pruned = prune_to_spanning(_slp(sub, sub_rel)).graph
+            pruned = prune_to_spanning(_restricted(gm, [set(sub)])).graph
         except EmptyGraph:
             return [], TraceNode(kind="void", k=0), tuple(sub)
         paths, trace = _cover_uniform_periodic(pruned)
@@ -934,7 +874,7 @@ def _cover_uniform_periodic(g: LayeredGraph):
     padded = dropped_a + dropped_b
     pad_paths = [_greedy_walk(rel, u) for u in padded]
     paths_m = list(paths_a) + list(paths_b) + pad_paths
-    paths = [_expand_path(g, lmapm, q) for q in paths_m]
+    paths = [_expand_path(g, sel, q) for q in paths_m]
     trace = TraceNode(kind="split", k=k, witness=witness,
                       v=len(v_names), w=len(w_names),
                       children=(trace_a, trace_b), padded=padded)
@@ -951,16 +891,16 @@ def _cover_uniform_truncation(g: LayeredGraph):
             break                   # no deeper layer matches the chain's end
         chain.append(res)
     else:
-        gn, lmap = _reduce_with_map(g, tuple(chain))
-        pn = partition_by_matchings(gn)
-        paths = [_expand_path(g, lmap, q) for q in pn]
+        chain = tuple(chain)
+        pn = partition_by_matchings(monotone_reachability(g, chain))
+        paths = [_expand_path(g, chain, q) for q in pn]
         return paths, TraceNode(kind="match", k=k,
-                                selection=("layers", tuple(chain)))
+                                selection=("layers", chain))
 
     witness = res
     ms = witness.witness_layers
     vlen = witness.sizes[1]
-    gm, lmapm = _reduce_with_map(g, ms)
+    gm = monotone_reachability(g, ms)
     v_sets = [set(v) for _, v in witness.V]
     w_sets = [set(gm.layer(t)) - v_sets[t] for t in range(len(ms))]
 
@@ -980,7 +920,7 @@ def _cover_uniform_truncation(g: LayeredGraph):
     padded = tuple(spare[: pad_a + pad_b])
     pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
     paths_m = paths_a + paths_b + pad_paths
-    paths = [_expand_path(g, lmapm, q) for q in paths_m]
+    paths = [_expand_path(g, ms, q) for q in paths_m]
     trace = TraceNode(kind="split", k=k, witness=witness, v=vlen, w=k - vlen,
                       children=(trace_a, trace_b), padded=padded)
     return paths, trace

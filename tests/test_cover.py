@@ -141,12 +141,12 @@ def test_cover_deterministic():
 def test_reachability_functoriality():
     # paths in a reachability reduction lift to monotone paths of the parent
     # hitting the same vertices at the selected layers
-    from horoscope.npartite import _expand_path, _reduce_with_map
+    from horoscope.npartite import _expand_path
 
     lg = corpus.two_spine_crossing()
-    red, lmap = _reduce_with_map(lg, h.Stride(0, 2))
-    for q in h.partition_by_matchings(red):
-        lifted = _expand_path(lg, lmap, q)
+    sel = h.Stride(0, 2)
+    for q in h.partition_by_matchings(h.monotone_reachability(lg, sel)):
+        lifted = _expand_path(lg, sel, q)
         lifted.validate(lg, depth=24)
         for t in range(12):
             assert lifted.name_at(2 * t) == q.name_at(t)
@@ -220,9 +220,9 @@ def test_prefix_funnel_sheds_prefix_then_splits():
 def test_reachability_crossing_the_prefix():
     red = h.monotone_reachability(corpus.prefix_feeder(), h.Stride(0, 2))
     assert red.prefix_layers == (("s",),)
-    assert sorted(red.seam_edges) == [("s", "a"), ("s", "b")]
+    assert red.edge_pairs(0) == {("s", "a"), ("s", "b")}         # the seam
     assert red.period_layers == (("a", "b"),)
-    assert sorted(red.period_edges[0]) == [("a", "a"), ("b", "b")]
+    assert red.edge_pairs(1) == {("a", "a"), ("b", "b")}         # the wrap
 
 
 def test_random_instances_stress():

@@ -152,6 +152,14 @@ def test_valuemap_roundtrip():
     assert json.dumps(vm.items) == "[[1, 2], [2, 0], [3, -1]]"
 
 
+def test_valuemap_restrict_takes_unsorted_sets():
+    vm = h.ValueMap.from_dict({"": 0, "a": 1, "ab": 2, "b": 1, "ba": 2}, radius=2)
+    tokens = {"ba", "zz", "", "ab"}   # hash order; "zz" is not in the domain
+    assert vm.restrict(tokens, 1).items == (("", 0), ("ab", 2), ("ba", 2))
+    assert vm.restrict(tokens, 1).radius == 1
+    assert vm.restrict(iter(["ba", "ab", "ba"])).domain == ("ab", "ba")
+
+
 @given(st.dictionaries(st.integers(-9, 9), st.integers(-5, 5), min_size=1))
 def test_valuemap_ordering_is_item_order(d):
     vm = h.ValueMap.from_dict(d)

@@ -64,6 +64,23 @@ def test_build_rejects_bad_edges():
         h.build_layered({"kind": "explicit"})
 
 
+def test_unknown_edge_names_name_their_step():
+    period = {"layers": [["a"], ["b"]], "edges": [[0, "a", "b"]]}
+    prefix = {"layers": [["s"], ["t"]], "edges": [[0, "s", "t"]]}
+    base = {"kind": "layered", "period": period, "prefix": prefix,
+            "seam": [["t", "a"]], "wrap": [["b", "a"]]}
+    for where, key, value in [
+            ("prefix step 0", "prefix", {**prefix, "edges": [[0, "q", "t"]]}),
+            ("seam", "seam", [["t", "q"]]),
+            ("period step 0", "period", {**period, "edges": [[0, "a", "q"]]}),
+            ("wrap", "wrap", [["q", "a"]])]:
+        with pytest.raises(h.MalformedSpec, match=f"^{where}: edge"):
+            h.build_layered({**base, key: value})
+    # derived graphs are built from maps and pass the same check
+    with pytest.raises(h.MalformedSpec, match="^prefix step 0: edge"):
+        h.LayeredGraph((("a",), ("b",)), ({"a": frozenset({"q"})},))
+
+
 def test_unfold_indexing():
     lg = corpus.prefix_feeder()
     flat = lg.unfold(6)
@@ -71,9 +88,9 @@ def test_unfold_indexing():
     assert flat.layer(1) == ("x", "y")
     assert flat.layer(2) == ("a", "b")     # first period copy
     assert flat.layer(3) == ("a", "b")
-    assert flat.edge_pairs(1) == lg.seam_edges
+    assert flat.edge_pairs(1) == lg.edge_pairs(1) == {("x", "a"), ("y", "b"), ("x", "b")}
     for i in range(2, 6):
-        assert flat.edge_pairs(i) == lg.period_edges[0]
+        assert flat.edge_pairs(i) == lg.edge_pairs(i) == {("a", "a"), ("b", "b")}
 
 
 def test_forward_map_is_built_once_per_stored_step():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +308,24 @@ def test_cli_report_bytes(tmp_path, capsys, spec, argv, digest):
     code, out = run_cli(capsys, argv[0], path, *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------- README
+
+
+def test_readme_quick_tour_states_its_values():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    ns: dict = {}
+    exec(block, ns)
+    res = ns["res"]
+    stated = {
+        "[1, 3, 4, 4, 4]": h.layer_decomposition(ns["g"], 4).sphere_sizes,
+        "4": len(ns["maps"]),
+        "1": ns["wit"].image_gcd,
+        "2 paths, split trace": f"{len(res.paths)} paths, {res.trace.kind} trace",
+    }
+    for comment, value in stated.items():
+        assert f"# {comment}\n" in block
+        assert str(value) == comment
