@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 from typing import Any
 
@@ -270,35 +271,35 @@ class GroupSpec:
 class CayleyGraph(RootedGraph):
     """Cayley graph rooted at the identity; neighbors of x are x*s.
 
-    On the standard generating set the family's closed-form metric gives
-    every distance, and a family that has a closed-form Busemann row
+    :meth:`metric_from` gives every distance.  On the standard generating
+    set it is the family's closed-form metric, which is kept in
+    ``exact_distance``, and a family that has a closed-form Busemann row
     (free-2: ``Free2.busemann_row``) gives every Busemann table through it,
-    with no per-vertex distance.  On a custom generating set, distances are word
-    lengths: the graph is vertex-transitive, so d(z, y) = |z^-1 y|, read
-    from the one memoized BFS ball about the identity, which grows layer by
-    layer as deeper words are read.  No BFS runs from any other source.
-    The budget bounds the ball a read needs: reading a word of length R
-    raises BudgetExhausted when |B_R| > budget, whatever the memo already
-    holds.
+    with no per-vertex distance.  On a custom generating set
+    ``exact_distance`` is None and distances are word lengths: the graph is
+    vertex-transitive, so d(z, y) = |z^-1 y|, read from the graph's one
+    memo, the BFS ball about the identity, which grows layer by layer as
+    deeper words are read.  No BFS runs from any other source.  The budget
+    bounds the ball a read needs: reading a word of length R raises
+    BudgetExhausted when |B_R| > budget, whatever the memo already holds.
     """
 
     def __init__(self, group, generators):
         self.group = group
-        self.generators = tuple(sorted(generators))
-        use_exact = self.generators == tuple(sorted(group.default_generators()))
-        exact = None
-        if use_exact:
-            exact = getattr(group, "distance", None)
-            if exact is None:
-                exact = lambda x, y: group.norm(group.mul(group.inv(x), y))
+        self.generators = gens = tuple(sorted(generators))
+        mul = group.mul
+        super().__init__(lambda x: [mul(x, s) for s in gens], group.identity,
+                         degree_bound=len(gens), name=group.name)
+        if gens == tuple(sorted(group.default_generators())):
+            self.exact_distance = getattr(group, "distance", None) or (
+                lambda x, y: group.norm(group.mul(group.inv(x), y)))
             self.busemann_row = getattr(group, "busemann_row", None)
-        super().__init__(
-            lambda x: [group.mul(x, s) for s in self.generators],
-            group.identity, degree_bound=len(self.generators),
-            name=group.name, exact_distance=exact)
 
-    def _metric(self, z, budget, reach=None, targets=None):
-        """u -> |z^-1 u| from the ball memo; ``targets`` is not needed."""
+    def metric_from(self, z, budget, *, reach=None, targets=None):
+        """u -> d(z, u): ``exact_distance`` when set, otherwise |z^-1 u|
+        from the ball memo; ``targets`` is not needed."""
+        if self.exact_distance is not None:
+            return partial(self.exact_distance, z)
         mul, zinv, depth = self.group.mul, self.group.inv(z), self._depth
         if reach is not None:
             self._ensure_layers(reach, budget)
@@ -350,7 +351,7 @@ def cayley_graph(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> CayleyGraph:
     if {group.inv(s) for s in gens} != set(gens):
         raise MalformedSpec("generating set is not closed under inversion")
     g = CayleyGraph(group, gens)
-    if g.generators != tuple(sorted(group.default_generators())):
+    if g.exact_distance is None:
         small = layer_decomposition(
             CayleyGraph(group, group.default_generators()), 2).ball()
         ld = layer_decomposition(g, 12, budget)

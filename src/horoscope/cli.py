@@ -27,7 +27,6 @@ from .errors import BudgetExhausted, HoroscopeError, MalformedSpec
 from .graphs import (
     GeodesicRay,
     RootedGraph,
-    _metric_from,
     distance,  # noqa: F401  (perfbench's tracer test reads cli.distance)
     enumerate_horofunction_restrictions,
     layer_decomposition,
@@ -183,7 +182,7 @@ def cmd_orbit(args: argparse.Namespace) -> dict:
 
 
 def _random_prefix(g: RootedGraph, start, length, rng, budget):
-    dist_from_start = _metric_from(g, start, budget, reach=length)
+    dist_from_start = g.metric_from(start, budget, reach=length)
     vs = [start]
     for _ in range(length):
         want = len(vs)
@@ -208,7 +207,7 @@ def cmd_reroot(args: argparse.Namespace) -> dict:
             results.append({"start": start, "skipped": True})
             continue
         n0, rerooted = reroot_ray(g, ray, args.budget)
-        dist_o = _metric_from(g, g.basepoint, args.budget, targets=rerooted.vertices)
+        dist_o = g.metric_from(g.basepoint, args.budget, targets=rerooted.vertices)
         geodesic_ok = all(dist_o(v) == i for i, v in enumerate(rerooted.vertices))
         agrees = rerooted.vertices[-(length - n0 + 1):] == ray.vertices[n0:] \
             if n0 < length else True

@@ -7,19 +7,20 @@ decompositions, Busemann tables b_z(y) = d(z,y) - d(z,o), geodesic rays
 (finite prefixes plus an extension policy), stabilized horofunction
 restrictions, and ray rerooting.
 
-Every distance query goes through one oracle, :func:`_metric_from`: the
-graph's closed-form metric when it has one, otherwise the graph's own search.
-A plain graph runs a BFS from the source; a Cayley graph is vertex-transitive,
-so it reads d(z, y) = |z^-1 y| from its memoized ball about the identity
-(see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann table is one such
-read per ball vertex, except on a graph with a closed-form row
-(``RootedGraph.busemann_row``; free-2 on its standard generators), which
+Every distance query goes through one method, :meth:`RootedGraph.metric_from`,
+which returns u -> d(z, u).  A plain graph runs a BFS from z; a Cayley graph
+returns its closed-form metric on the standard generators, and otherwise,
+being vertex-transitive, reads d(z, y) = |z^-1 y| from its memoized ball
+about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann
+table is one distance per ball vertex, except on a graph with a closed-form
+row (``RootedGraph.busemann_row``; free-2 on its standard generators), which
 gives the whole table from the sorted ball.  :class:`ValueMap` lookups bisect
 the sorted domain, and ``cayley.act`` gathers through that same lookup.
 
-All operations are pure; graphs are immutable apart from internal memo
-tables, and results are independent of call history.  The ball memo grows
-one layer at a time under a lock, so shared instances are safe to use
+All operations are pure; graphs are immutable apart from one memo, the BFS
+ball about the basepoint with the sorted balls B_r read from it, and results
+are independent of call history.  The ball grows one layer at a time under a
+lock, and a sorted ball is stored once, so shared instances are safe to use
 concurrently (tests/test_graphs.py runs four threads on one graph).  Every
 search takes a vertex-exploration budget and raises
 :class:`~horoscope.errors.BudgetExhausted` rather than silently truncating:
@@ -34,7 +35,6 @@ from bisect import bisect_left
 from collections import Counter, deque
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any
 
 from .errors import (
@@ -58,62 +58,59 @@ class RootedGraph:
     ----------
     neighbor_fn:
         Maps a vertex token to a finite iterable of neighbor tokens.  Must be
-        deterministic; the result is sorted and memoized, so the canonical
+        deterministic; :meth:`neighbors` sorts the result, so the canonical
         neighbor order is the sort order of the tokens.
     basepoint:
         The root vertex o.
     degree_bound:
-        Optional declared bound on vertex degrees, checked on every query.
-    exact_distance:
-        Optional exact metric d(x, y).  When present it is used instead of
-        a search for distance queries; tests cross-check it against BFS.
+        Optional declared bound on vertex degrees, checked on every
+        :meth:`neighbors` call.
 
-    The BFS ball about the basepoint is memoized (``_layers``, the spheres
-    as sorted tuples that every :class:`LayerDecomposition` shares, ``_depth``
-    and the ball sizes ``_ball_sizes``).  It only grows, one layer at a time
-    under ``_lock``.  A depth in ``_depth`` is final once written, while
-    ``_layers`` and ``_ball_sizes`` list complete layers only; readers take
-    a depth beyond them as not yet memoized, so none acts on a half-built
-    layer.  Subclasses may override :meth:`_metric`, the distance search
-    used when there is no exact metric, and may set ``busemann_row`` (None
-    here) to a closed form (z, sorted ball) -> (d(z, o), the values b_z(y)
-    in ball order), which then gives every Busemann table in place of one
-    distance per vertex.
+    The graph keeps one memo: the BFS ball about the basepoint, as the
+    spheres ``_layers`` (sorted tuples), the depths ``_depth`` and the ball
+    sizes ``_ball_sizes``, plus ``_balls``, the sorted balls B_r asked for
+    so far, which every :class:`LayerDecomposition` of the graph reads.  The
+    ball only grows, one layer at a time under ``_lock``.  A depth in
+    ``_depth`` is final once written, while ``_layers`` and ``_ball_sizes``
+    list complete layers only; readers take a depth beyond them as not yet
+    memoized, so none acts on a half-built layer.
+
+    Every distance comes from :meth:`metric_from`, a BFS here; subclasses
+    override it.  ``exact_distance`` (None here) is a closed-form metric
+    d(x, y) that a subclass may set, and ``busemann_row`` (None here) a
+    closed form (z, sorted ball) -> (d(z, o), the values b_z(y) in ball
+    order), which then gives every Busemann table in place of one distance
+    per vertex.
     """
 
+    exact_distance: Callable[[Vertex, Vertex], int] | None = None
     busemann_row: Callable[[Vertex, tuple], tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(self, neighbor_fn: Callable[[Vertex], Iterable[Vertex]],
                  basepoint: Vertex, *, degree_bound: int | None = None,
-                 name: str = "graph",
-                 exact_distance: Callable[[Vertex, Vertex], int] | None = None):
+                 name: str = "graph"):
         self._neighbor_fn = neighbor_fn
         self.basepoint = basepoint
         self.degree_bound = degree_bound
         self.name = name
-        self.exact_distance = exact_distance
-        self._nbrs: dict[Vertex, tuple[Vertex, ...]] = {}
-        # BFS-from-basepoint cache: complete layers only
+        # BFS-from-basepoint memo: complete layers only
         self._layers: list[tuple[Vertex, ...]] = [(basepoint,)]
         self._depth: dict[Vertex, int] = {basepoint: 0}
         self._ball_sizes: list[int] = [1]   # |B_r| for every memoized r
+        self._balls: dict[int, tuple[Vertex, ...]] = {}  # r -> sorted B_r
         self._lock = threading.Lock()       # held while a layer is built
-        self._ld_cache: dict[int, "LayerDecomposition"] = {}
 
     def __repr__(self):
         return f"RootedGraph({self.name!r}, o={self.basepoint!r})"
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        out = self._nbrs.get(v)
-        if out is None:
-            out = tuple(sorted(self._neighbor_fn(v)))
-            if self.degree_bound is not None and len(out) > self.degree_bound:
-                raise MalformedSpec(
-                    f"vertex {v!r} has degree {len(out)} > bound {self.degree_bound}")
-            self._nbrs[v] = out
+        out = tuple(sorted(self._neighbor_fn(v)))
+        if self.degree_bound is not None and len(out) > self.degree_bound:
+            raise MalformedSpec(
+                f"vertex {v!r} has degree {len(out)} > bound {self.degree_bound}")
         return out
 
-    # -- internal BFS-from-o cache ------------------------------------------
+    # -- internal BFS-from-o memo -------------------------------------------
 
     def _ensure_layers(self, radius: int, budget: int) -> None:
         # the budget caps |B_radius| for this call, independent of how much
@@ -148,47 +145,43 @@ class RootedGraph:
         self._ball_sizes.append(self._ball_sizes[-1] + len(nxt))
         self._layers.append(tuple(sorted(nxt)))
 
-    def _metric(self, z: Vertex, budget: int, reach: int | None = None,
-                targets: Iterable[Vertex] | None = None) -> Callable[[Vertex], int]:
-        """u -> d(z, u) by one BFS from z: out to ``reach`` (vertices beyond
-        it read as reach + 1), or until every target is found (only targets
-        may then be read)."""
-        depth = _bfs_depths(self, z, radius=reach, targets=targets, budget=budget)
+    def metric_from(self, z: Vertex, budget: int, *, reach: int | None = None,
+                    targets: Iterable[Vertex] | None = None) -> Callable[[Vertex], int]:
+        """The distance oracle u -> d(z, u), here by one BFS from z.
+
+        Give ``reach`` when only distances up to it matter (vertices beyond
+        it read as reach + 1), or ``targets`` when only those vertices are
+        read (the search stops once all are found).  Raises BudgetExhausted
+        when the search explores more than ``budget`` vertices, or exhausts
+        the component of z with targets missing.
+        """
+        depth = {z: 0}
+        missing = set(targets) - {z} if targets is not None else None
+        q = deque([z])
+        while q:
+            v = q.popleft()
+            r = depth[v]
+            if reach is not None and r >= reach:
+                continue
+            for u in self.neighbors(v):
+                if u not in depth:
+                    depth[u] = r + 1
+                    if len(depth) > budget:
+                        raise BudgetExhausted(
+                            f"BFS from {z!r} exceeded budget {budget}")
+                    if missing is not None:
+                        missing.discard(u)
+                    q.append(u)
+            if missing is not None and not missing:
+                break
+        if missing:
+            raise BudgetExhausted(
+                f"BFS from {z!r} exhausted its component; "
+                f"{len(missing)} target(s) unreachable (disconnected or cap too small)")
         if reach is None:
             return depth.__getitem__
         far = reach + 1
         return lambda u: depth.get(u, far)
-
-
-def _bfs_depths(g: RootedGraph, source: Vertex, *, radius: int | None = None,
-                targets: set | None = None, budget: int = DEFAULT_BUDGET) -> dict:
-    """BFS depth map from ``source``, stopping at ``radius`` or once all
-    ``targets`` have been found.  Raises BudgetExhausted on cap overrun or if
-    the reachable component is exhausted with targets missing."""
-    depth = {source: 0}
-    missing = set(targets) - {source} if targets is not None else None
-    q = deque([source])
-    while q:
-        v = q.popleft()
-        r = depth[v]
-        if radius is not None and r >= radius:
-            continue
-        for u in g.neighbors(v):
-            if u not in depth:
-                depth[u] = r + 1
-                if len(depth) > budget:
-                    raise BudgetExhausted(
-                        f"BFS from {source!r} exceeded budget {budget}")
-                if missing is not None:
-                    missing.discard(u)
-                q.append(u)
-        if missing is not None and not missing:
-            return depth
-    if missing:
-        raise BudgetExhausted(
-            f"BFS from {source!r} exhausted its component; "
-            f"{len(missing)} target(s) unreachable (disconnected or cap too small)")
-    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +214,7 @@ class ValueMap:
         return tuple(zip(self.domain, self.values))
 
     def as_dict(self) -> dict:
-        memo = self.__dict__.get("_dict")
-        if memo is None:
-            memo = dict(zip(self.domain, self.values))
-            object.__setattr__(self, "_dict", memo)
-        return memo
+        return dict(zip(self.domain, self.values))
 
     def index(self, v: Vertex) -> int:
         """The position of v in ``domain``, by bisection; KeyError if absent."""
@@ -254,30 +243,34 @@ class ValueMap:
 class LayerDecomposition:
     """Spheres S_0..S_R about the basepoint: S_r = B_r minus B_{r-1}.
 
-    The depth map may be shared with the graph's (monotonically growing)
-    BFS cache; lookups are guarded by the decomposition's own radius.
+    A view over the graph's memo: the spheres and depths are the graph's
+    own, lookups are guarded by the view's radius, and each sorted ball is
+    built once per graph and kept in its ``_balls`` table, so every view
+    returns the same tuple for B_r.
     """
 
-    def __init__(self, radius: int, layers: tuple[tuple[Vertex, ...], ...],
-                 depth_map: dict):
+    def __init__(self, g: RootedGraph, radius: int):
         self.radius = radius
-        self.layers = layers
-        self._depth = depth_map
-        self._balls: dict[int, tuple] = {}
+        self.layers = tuple(g._layers[: radius + 1])
+        self._depth = g._depth
+        self._balls = g._balls
 
     @property
     def sphere_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
     def ball(self, r: int | None = None) -> tuple[Vertex, ...]:
-        """All vertices with d(o, v) <= r, canonically sorted."""
+        """All vertices with d(o, v) <= r, canonically sorted; r defaults to
+        the radius, and ValueError unless 0 <= r <= radius."""
         if r is None:
             r = self.radius
+        elif not 0 <= r <= self.radius:
+            raise ValueError(f"ball radius {r} is outside 0..{self.radius}")
         cached = self._balls.get(r)
         if cached is None:
-            cached = tuple(sorted(
-                v for layer in self.layers[: r + 1] for v in layer))
-            self._balls[r] = cached
+            # setdefault keeps the first tuple stored when threads race
+            cached = self._balls.setdefault(r, tuple(sorted(
+                v for layer in self.layers[: r + 1] for v in layer)))
         return cached
 
     def depth_of(self, v: Vertex) -> int:
@@ -297,11 +290,7 @@ def layer_decomposition(g: RootedGraph, radius: int,
     if radius < 0:
         raise ValueError("radius must be >= 0")
     g._ensure_layers(radius, budget)
-    ld = g._ld_cache.get(radius)
-    if ld is None:
-        ld = LayerDecomposition(radius, tuple(g._layers[: radius + 1]), g._depth)
-        g._ld_cache[radius] = ld
-    return ld
+    return LayerDecomposition(g, radius)
 
 
 def recurring_sphere_size(sizes: Sequence[int], times: int) -> int | None:
@@ -311,27 +300,13 @@ def recurring_sphere_size(sizes: Sequence[int], times: int) -> int | None:
     return min((s for s, c in counts.items() if c >= times), default=None)
 
 
-def _metric_from(g: RootedGraph, z: Vertex, budget: int, *,
-                 reach: int | None = None,
-                 targets: Iterable[Vertex] | None = None) -> Callable[[Vertex], int]:
-    """The distance oracle u -> d(z, u): the exact metric when the graph
-    carries one, otherwise the graph's own search (:meth:`RootedGraph._metric`).
-
-    Give ``reach`` when only distances up to it matter (others may read as
-    any value above it), or ``targets`` when only those vertices are read.
-    """
-    if g.exact_distance is not None:
-        return partial(g.exact_distance, z)
-    return g._metric(z, budget, reach, targets)
-
-
 def distance(g: RootedGraph, x: Vertex, y: Vertex,
              budget: int = DEFAULT_BUDGET) -> int:
-    """Graph distance d(x, y) (exact metric when the graph carries one,
-    otherwise a search under the exploration budget)."""
+    """Graph distance d(x, y), read from :meth:`RootedGraph.metric_from`
+    under the exploration budget."""
     if x == y:
         return 0
-    return _metric_from(g, x, budget, targets=(y,))(y)
+    return g.metric_from(x, budget, targets=(y,))(y)
 
 
 def _busemann_values(g: RootedGraph, z: Vertex, ball: tuple[Vertex, ...],
@@ -342,11 +317,13 @@ def _busemann_values(g: RootedGraph, z: Vertex, ball: tuple[Vertex, ...],
         return g.busemann_row(z, ball)
     ed = g.exact_distance
     if ed is not None:
-        # the closed form is called directly: this loop runs ~1M times per
-        # Busemann table on free-2, where a per-pair wrapper costs ~10%
+        # the closed form is called directly, not through metric_from's
+        # partial: on the standard generators of a family with no row, `horo`
+        # reads one distance per ball vertex for every z of each sphere in
+        # the window, and the partial adds ~15% to that loop (ladder3, r <= 24)
         base = ed(z, g.basepoint)
         return base, tuple([ed(z, y) - base for y in ball])
-    d = g._metric(z, budget, targets=ball)
+    d = g.metric_from(z, budget, targets=ball)
     base = d(g.basepoint)
     return base, tuple([d(y) - base for y in ball])
 
@@ -410,7 +387,7 @@ def validate_ray(g: RootedGraph, ray: GeodesicRay,
     for a, b in zip(vs, vs[1:]):
         if b not in g.neighbors(a):
             raise NotGeodesic(f"{a!r} and {b!r} are not adjacent")
-    dist = _metric_from(g, vs[0], budget, reach=len(vs) - 1)
+    dist = g.metric_from(vs[0], budget, reach=len(vs) - 1)
     for n, v in enumerate(vs):
         if dist(v) != n:
             raise NotGeodesic(f"d(x_0, x_{n}) != {n}")
@@ -427,7 +404,7 @@ def extend_ray(g: RootedGraph, ray: GeodesicRay, length: int,
     vs = list(ray.vertices)
     if len(vs) - 1 >= length:
         return ray
-    dist_from_start = _metric_from(g, vs[0], budget, reach=length)
+    dist_from_start = g.metric_from(vs[0], budget, reach=length)
     while len(vs) - 1 < length:
         tip = vs[-1]
         want = len(vs)  # required distance from x_0 for the next vertex
@@ -462,9 +439,9 @@ def canonical_geodesic(g: RootedGraph, a: Vertex, b: Vertex,
     the least neighbor strictly closer to b."""
     if a == b:
         return (a,)
-    d0 = _metric_from(g, b, budget, targets=(a,))(a)
+    d0 = g.metric_from(b, budget, targets=(a,))(a)
     # every vertex on the way is within d(a, b) of b
-    dist_b = _metric_from(g, b, budget, reach=d0)
+    dist_b = g.metric_from(b, budget, reach=d0)
     path = [a]
     cur = a
     for step in range(d0, 0, -1):
@@ -600,7 +577,7 @@ def reroot_ray(g: RootedGraph, ray: GeodesicRay,
     """
     vs = ray.vertices
     length = len(vs) - 1
-    dist_o = _metric_from(g, g.basepoint, budget, targets=vs)
+    dist_o = g.metric_from(g.basepoint, budget, targets=vs)
     d_o = [dist_o(v) for v in vs]
     c = [d_o[n] - n for n in range(len(vs))]
     for a, b in zip(c, c[1:]):

@@ -61,7 +61,6 @@ from .graphs import (
     DEFAULT_BUDGET,
     GeodesicRay,
     RootedGraph,
-    _metric_from,
     canonical_geodesic,
     extend_ray,
     layer_decomposition,
@@ -1042,7 +1041,7 @@ def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
         gap = radii[t + 1] - radii[t]
         pairs = []
         for x in layers[t]:
-            dist = _metric_from(g, x, budget, reach=gap)
+            dist = g.metric_from(x, budget, reach=gap)
             pairs.extend((x, y) for y in layers[t + 1] if dist(y) == gap)
         steps.append(pairs)
     return LayeredGraph.truncation(layers, steps, tags=radii)

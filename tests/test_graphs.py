@@ -94,6 +94,36 @@ def test_layer_budget():
     assert h.layer_decomposition(g, 2, budget=100).sphere_sizes == [1, 4, 12]
 
 
+def test_ball_radius_outside_decomposition_raises():
+    g = h.cayley_graph(FAMILY_SPECS["integers"])
+    ld = h.layer_decomposition(g, 5)
+    for r in (-2, 6, 9):
+        with pytest.raises(ValueError):
+            ld.ball(r)
+    assert ld.ball(0) == (0,)
+    assert ld.ball() == tuple(range(-5, 6))
+    assert h.layer_decomposition(g, 9).ball() == tuple(range(-9, 10))
+
+
+def test_degree_bound_violation_raises():
+    # the path 0 - 1 - 2 declares degree <= 1, but vertex 1 has degree 2
+    adj = {0: [1], 1: [0, 2], 2: [1]}
+
+    def path():
+        return h.RootedGraph(adj.__getitem__, 0, degree_bound=1, name="path")
+
+    g = path()
+    assert g.neighbors(0) == (1,)
+    for _ in range(2):
+        with pytest.raises(h.MalformedSpec):
+            g.neighbors(1)
+    g = path()
+    assert h.layer_decomposition(g, 1).sphere_sizes == [1, 1]
+    for _ in range(2):
+        with pytest.raises(h.MalformedSpec):
+            h.layer_decomposition(g, 2)
+
+
 # ---------------------------------------------------------------- Busemann
 
 
@@ -479,3 +509,19 @@ def test_shared_memo_concurrent_custom_distances():
     expected = [lattice_diag_length((y[0] - x[0], y[1] - x[1])) for x, y in pairs]
     got = _run_threads(lambda: [h.distance(g, x, y) for x, y in pairs])
     assert got == [expected] * 4
+
+
+def test_shared_memo_concurrent_balls():
+    g = h.cayley_graph(FAMILY_SPECS["free2"])
+
+    def read():
+        return [(h.layer_decomposition(g, 8).ball(r), h.layer_decomposition(g, r).ball())
+                for r in range(9)]
+
+    results = _run_threads(read)
+    spheres = h.layer_decomposition(g, 8).layers
+    for got in results:
+        for r, (deep, own) in enumerate(got):
+            assert deep == tuple(sorted(v for s in spheres[: r + 1] for v in s))
+            assert own is deep
+    assert h.layer_decomposition(g, 8).ball(5) is h.layer_decomposition(g, 5).ball()
