@@ -18,7 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, repeat
 from math import gcd
+from operator import itemgetter
 from typing import Any
 
 from .errors import (
@@ -183,6 +185,28 @@ class IntegerLattice2D:
 _FREE_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
+def _subtree_ranges(ball, radius, word):
+    """For k = 0..|word|, the range (lo, hi) of the words with prefix
+    word[:k] in the whole sorted free-2 ball B_radius, an empty one where
+    word[:k] is too long; a subtree's size depends only on k and radius."""
+    lo, hi = 0, len(ball)
+    ranges = [(lo, hi)]
+    for k in range(1, len(word) + 1):
+        lo = bisect_left(ball, word[:k], lo, hi)
+        hi = lo + (3 ** max(radius - k + 1, 0) - 1) // 2
+        ranges.append((lo, hi))
+    return ranges
+
+
+def _depth_run(top, depth):
+    """Preorder values of a full ternary tree with ``depth`` levels below its
+    root: ``top`` at the root, one more at each level down."""
+    run = [top + depth]
+    for d in range(depth - 1, -1, -1):
+        run = [top + d, *run, *run, *run]
+    return run
+
+
 class Free2:
     name = "free-2"
     identity = ""
@@ -221,16 +245,62 @@ class Free2:
     def busemann_row(z, ball):
         """(|z|, the values b_z(y) = |y| - 2 lcp(z, y) for y in ``ball``).
 
-        ``ball`` is a sorted tuple of reduced words, in which the words with
-        prefix z[:i] form one contiguous range; each of these nested ranges
-        is lowered by 2."""
-        row = list(map(len, ball))
-        lo, hi = 0, len(ball)
-        for i in range(1, len(z) + 1):
-            lo = bisect_left(ball, z[:i], lo, hi)
-            hi = bisect_left(ball, z[:i] + "~", lo, hi)  # "~" sorts after every letter
-            row[lo:hi] = [v - 2 for v in row[lo:hi]]
+        ``ball`` must be a whole sorted ball B_R (ValueError otherwise), a
+        preorder of the Cayley tree: the words with prefix p form one range,
+        whose size depends only on |p| and R.  So no word is read past the
+        bisections for z's prefixes.  The word z[:i] has the value -i, and
+        each subtree that leaves z's path below z[:i] holds the preorder
+        depths of a full ternary tree lowered by 2i, built by list
+        repetition and placed by slice assignment."""
+        radius = len(ball[-1]) if ball else -1
+        if len(ball) != 2 * 3 ** radius - 1 or ball[-1] != "b" * radius:
+            raise ValueError("busemann_row needs a whole sorted ball B_R")
+        row = [0] * len(ball)
+        m = min(len(z), radius)
+        ranges = _subtree_ranges(ball, radius, z[:m])
+        for i, (lo, hi) in enumerate(ranges):
+            clo, chi = ranges[i + 1] if i < m else (hi, hi)  # z[:i+1]'s subtree
+            row[lo] = -i
+            if hi - lo > 1:
+                run = _depth_run(1 - i, radius - i - 1)
+                for a in chain(range(lo + 1, clo, len(run)),
+                               range(chi, hi, len(run))):
+                    row[a:a + len(run)] = run
+                del run  # no run outlives its level, nor lives on beside tuple(row)
         return len(z), tuple(row)
+
+    @staticmethod
+    def act_row(x, values, ball, out_ball):
+        """The values f(x^-1 y) - f(x^-1) for y in ``out_ball``, where f is
+        ``values`` on the whole sorted ball ``ball`` = B_R and ``out_ball``
+        is the sorted B_{R-|x|}; x must be reduced.
+
+        With w = x^-1 and n = |x|, the y that leave x's path at depth k,
+        i.e. have prefix x[:k] and not x[:k+1], map to w[:n-k] + y[k:].  At
+        k = 0 these words are w's subtree of ``ball``, in order, so they are
+        one slice of ``values``; at k >= 1 each is found by a bisection
+        bounded to w[:n-k]'s subtree, in a C-level map pipeline.  In ball
+        order the output is the part of each level before x[:k+1]'s subtree
+        for k = 0..n, then the part after it for k = n..0."""
+        n = len(x)
+        w = Free2.inv(x)
+        src = _subtree_ranges(ball, len(ball[-1]), w)
+        dst = _subtree_ranges(out_ball, len(out_ball[-1]), x)
+        dst.append((dst[n][1], dst[n][1]))  # level n excludes no subtree
+        lo = src[n][0]
+        cp, cq = dst[1]
+        heads = [values[lo:lo + cp]]
+        tails = [values[lo + cp:lo + cp + len(out_ball) - cq]]
+        for k in range(1, n + 1):
+            (p, q), (cp, cq) = dst[k], dst[k + 1]
+            slo, shi = src[n - k]
+            cut, pre = itemgetter(slice(k, None)), w[:n - k].__add__
+            for part, ys in ((heads, out_ball[p:cp]), (tails, out_ball[cq:q])):
+                words = map(pre, map(cut, ys))
+                part.append(map(values.__getitem__, map(
+                    bisect_left, repeat(ball), words, repeat(slo), repeat(shi))))
+        fx = values[lo]
+        return tuple(map(fx.__rsub__, chain(*heads, *reversed(tails))))
 
     @staticmethod
     def token(obj):
@@ -275,14 +345,19 @@ class CayleyGraph(RootedGraph):
     set it is the family's closed-form metric, which is kept in
     ``exact_distance``, and a family that has a closed-form Busemann row
     (free-2: ``Free2.busemann_row``) gives every Busemann table through it,
-    with no per-vertex distance.  On a custom generating set
-    ``exact_distance`` is None and distances are word lengths: the graph is
-    vertex-transitive, so d(z, y) = |z^-1 y|, read from the graph's one
-    memo, the BFS ball about the identity, which grows layer by layer as
-    deeper words are read.  No BFS runs from any other source.  The budget
-    bounds the ball a read needs: reading a word of length R raises
-    BudgetExhausted when |B_R| > budget, whatever the memo already holds.
+    with no per-vertex distance.  Such a family may also have a closed-form
+    gather for :func:`act` (free-2: ``Free2.act_row``, kept in ``act_row``),
+    which act uses on maps whose domain is the graph's stored ball B_r.  On
+    a custom generating set all three are None, and distances are word
+    lengths: the graph is vertex-transitive, so d(z, y) = |z^-1 y|, read
+    from the graph's one memo, the BFS ball about the identity, which grows
+    layer by layer as deeper words are read.  No BFS runs from any other
+    source.  The budget bounds the ball a read needs: reading a word of
+    length R raises BudgetExhausted when |B_R| > budget, whatever the memo
+    already holds.
     """
+
+    act_row = None
 
     def __init__(self, group, generators):
         self.group = group
@@ -294,6 +369,7 @@ class CayleyGraph(RootedGraph):
             self.exact_distance = getattr(group, "distance", None) or (
                 lambda x, y: group.norm(group.mul(group.inv(x), y)))
             self.busemann_row = getattr(group, "busemann_row", None)
+            self.act_row = getattr(group, "act_row", None)
 
     def metric_from(self, z, budget, *, reach=None, targets=None):
         """u -> d(z, u): ``exact_distance`` when set, otherwise |z^-1 u|
@@ -371,19 +447,26 @@ def act(x, f: ValueMap, g: CayleyGraph, budget: int = DEFAULT_BUDGET) -> ValueMa
     """x.f(y) = f(x^-1 y) - f(x^-1), restricted to the ball of radius
     f.radius - |x| so every lookup stays inside f's domain.
 
-    Each f(x^-1 y) is gathered by bisecting f's sorted domain
-    (:meth:`ValueMap.index`), on every family; no dict of f is built."""
+    x must be a group element in normal form (MalformedSpec otherwise).
+    When ``f.domain`` is the graph's stored sorted ball B_{f.radius}, as for
+    every Busemann table and every output of act, a graph with a closed-form
+    gather (``act_row``; free-2 on its standard generators) reads f by
+    subtree ranges.  Otherwise each f(x^-1 y) is found by bisecting f's
+    sorted domain (:meth:`ValueMap.index`); no dict of f is built."""
     if not isinstance(g, CayleyGraph):
         raise TypeError("act requires a Cayley graph")
     if f.radius is None:
         raise ValueError("value map must carry its domain radius")
     group = g.group
+    x = group.token(x)
     word_len = distance(g, g.basepoint, x, budget=budget)
     if word_len > f.radius:
         raise DomainTooSmall(
             f"|x| = {word_len} exceeds the map's domain radius {f.radius}")
     out_r = f.radius - word_len
     ball = layer_decomposition(g, out_r, budget).ball()
+    if g.act_row is not None and g._balls.get(f.radius) is f.domain:
+        return ValueMap(ball, g.act_row(x, f.values, f.domain, ball), radius=out_r)
     index, values, mul = f.index, f.values, group.mul
     xinv = group.inv(x)
     try:

@@ -14,8 +14,11 @@ being vertex-transitive, reads d(z, y) = |z^-1 y| from its memoized ball
 about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann
 table is one distance per ball vertex, except on a graph with a closed-form
 row (``RootedGraph.busemann_row``; free-2 on its standard generators), which
-gives the whole table from the sorted ball.  :class:`ValueMap` lookups bisect
-the sorted domain, and ``cayley.act`` gathers through that same lookup.
+builds the whole table from the layout of the sorted ball.  :class:`ValueMap`
+lookups bisect the sorted domain, and ``cayley.act`` gathers through that
+same lookup, except on free-2 on its standard generators when the map's
+domain is the graph's stored ball B_r: there it reads the map by subtree
+ranges (``Free2.act_row``).
 
 All operations are pure; graphs are immutable apart from one memo, the BFS
 ball about the basepoint with the sorted balls B_r read from it, and results
@@ -78,9 +81,9 @@ class RootedGraph:
     Every distance comes from :meth:`metric_from`, a BFS here; subclasses
     override it.  ``exact_distance`` (None here) is a closed-form metric
     d(x, y) that a subclass may set, and ``busemann_row`` (None here) a
-    closed form (z, sorted ball) -> (d(z, o), the values b_z(y) in ball
-    order), which then gives every Busemann table in place of one distance
-    per vertex.
+    closed form (z, whole sorted ball B_r) -> (d(z, o), the values b_z(y)
+    in ball order), which then gives every Busemann table in place of one
+    distance per vertex.
     """
 
     exact_distance: Callable[[Vertex, Vertex], int] | None = None

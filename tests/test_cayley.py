@@ -169,6 +169,82 @@ def test_free2_busemann_and_act_read_no_distance_or_dict(monkeypatch):
     assert moved == h.busemann(g, g.group.mul("ba", "abA"), 6).values
 
 
+def _twin(f):
+    """f over an equal but distinct domain tuple, which act reads by
+    bisection, not by subtree slices."""
+    twin = h.ValueMap(tuple(list(f.domain)), f.values, radius=f.radius)
+    assert twin.domain == f.domain and twin.domain is not f.domain
+    return twin
+
+
+def test_free2_act_slices_match_bisect_gather(graphs):
+    g = graphs["free2"]
+    ld = h.layer_decomposition(g, 8)
+    rng = random.Random(9)
+    table = h.busemann(g, "bAb", 8).values
+    noise = h.ValueMap(ld.ball(), tuple(rng.randrange(-99, 100) for _ in ld.ball()),
+                       radius=8)
+    moved = h.act("Ba", h.busemann(g, "abA", 10).values, g)  # y.f, then x.(y.f)
+    for f in (table, noise, moved):
+        assert f.domain is ld.ball()
+        twin = _twin(f)
+        for x in ld.ball(4):
+            out = h.act(x, f, g)
+            assert out == h.act(x, twin, g)
+            assert out.domain is ld.ball(8 - len(x))
+
+
+def test_free2_act_on_whole_ball_runs_no_mul(monkeypatch):
+    # on a stored whole ball, act reads f by subtree ranges: no Free2.mul
+    # and O(|x|) ValueMap.index calls; a copied domain takes the gather
+    g = h.cayley_graph(h.GroupSpec("free-2"))
+    f = h.busemann(g, "abA", 8).values
+    mul, index = Free2.mul, h.ValueMap.index
+    muls, lookups = [], []
+    monkeypatch.setattr(Free2, "mul", staticmethod(
+        lambda x, y: muls.append(1) or mul(x, y)))
+    monkeypatch.setattr(h.ValueMap, "index",
+                        lambda self, v: lookups.append(v) or index(self, v))
+    for x in ("", "b", "Ab", "bAbA", "aBBaBB"):
+        lookups.clear()
+        moved = h.act(x, f, g)
+        assert muls == [] and len(lookups) <= len(x) + 1
+        assert moved == h.busemann(g, mul(x, "abA"), 8 - len(x)).values
+    h.act("b", _twin(f), g)
+    assert len(muls) == 2 * 3 ** 7 - 1
+
+
+def test_free2_busemann_row_needs_whole_ball(graphs):
+    ld = h.layer_decomposition(graphs["free2"], 9)
+    # z in B_2, and words of length 3..11, longer than the smaller balls
+    sources = ld.ball(2) + tuple(w[:k] for w in ("abAB" * 3, "B" * 11, "aBaB" * 3)
+                                 for k in range(3, 12))
+    for z in sources:
+        ref = {y: Free2.distance(z, y) - len(z) for y in ld.ball()}
+        for r in range(10):
+            ball = ld.ball(r)
+            assert Free2.busemann_row(z, ball) == (len(z), tuple(ref[y] for y in ball))
+    b3 = ld.ball(3)
+    for bad in ((), b3[:-1], b3[1:], b3 + ("bbbb",), b3[::-1],
+                tuple(sorted(set(b3) - {"aB"}))):
+        with pytest.raises(ValueError, match="whole sorted ball"):
+            Free2.busemann_row("ab", bad)
+
+
+def test_act_rejects_malformed_elements(graphs):
+    g = graphs["free2"]
+    f = h.busemann(g, "ab", 4).values
+    for x in ("c", "aA", ["a"], 1):
+        with pytest.raises(h.MalformedSpec) as err:
+            h.act(x, f, g)
+        assert err.value.exit_code == 3
+    g = graphs["integers"]
+    f = h.busemann(g, 5, 4).values
+    for x in (True, 2.0, "1"):
+        with pytest.raises(h.MalformedSpec):
+            h.act(x, f, g)
+
+
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
 def test_action_laws_sampled(graphs, family):
     g = graphs[family]
