@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from math import gcd
 from operator import itemgetter
 from typing import Any
@@ -185,6 +185,14 @@ class IntegerLattice2D:
 _FREE_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
 
+def _whole_ball_radius(ball):
+    """R for a whole sorted free-2 ball B_R (ValueError otherwise)."""
+    radius = len(ball[-1]) if ball else -1
+    if len(ball) != 2 * 3 ** radius - 1 or ball[-1] != "b" * radius:
+        raise ValueError("a free-2 closed form needs a whole sorted ball B_R")
+    return radius
+
+
 def _subtree_ranges(ball, radius, word):
     """For k = 0..|word|, the range (lo, hi) of the words with prefix
     word[:k] in the whole sorted free-2 ball B_radius, an empty one where
@@ -205,6 +213,17 @@ def _depth_run(top, depth):
     for d in range(depth - 1, -1, -1):
         run = [top + d, *run, *run, *run]
     return run
+
+
+def _top_offsets(depth, levels):
+    """Preorder offsets from the root of the top ``depth`` levels below the
+    root of a full ternary tree with ``levels`` levels below its root."""
+    offsets = [0]
+    for e in range(levels - depth, levels):  # e levels below each child
+        size = (3 ** (e + 1) - 1) // 2
+        offsets = [0, *chain.from_iterable(map((1 + j * size).__add__, offsets)
+                                           for j in range(3))]
+    return offsets
 
 
 class Free2:
@@ -252,9 +271,7 @@ class Free2:
         each subtree that leaves z's path below z[:i] holds the preorder
         depths of a full ternary tree lowered by 2i, built by list
         repetition and placed by slice assignment."""
-        radius = len(ball[-1]) if ball else -1
-        if len(ball) != 2 * 3 ** radius - 1 or ball[-1] != "b" * radius:
-            raise ValueError("busemann_row needs a whole sorted ball B_R")
+        radius = _whole_ball_radius(ball)
         row = [0] * len(ball)
         m = min(len(z), radius)
         ranges = _subtree_ranges(ball, radius, z[:m])
@@ -272,35 +289,44 @@ class Free2:
     @staticmethod
     def act_row(x, values, ball, out_ball):
         """The values f(x^-1 y) - f(x^-1) for y in ``out_ball``, where f is
-        ``values`` on the whole sorted ball ``ball`` = B_R and ``out_ball``
-        is the sorted B_{R-|x|}; x must be reduced.
+        ``values`` on the whole sorted ball ``ball`` = B_R, ``out_ball`` is
+        the whole sorted B_{R-|x|} (ValueError otherwise) and x is reduced.
 
         With w = x^-1 and n = |x|, the y that leave x's path at depth k,
         i.e. have prefix x[:k] and not x[:k+1], map to w[:n-k] + y[k:].  At
         k = 0 these words are w's subtree of ``ball``, in order, so they are
-        one slice of ``values``; at k >= 1 each is found by a bisection
-        bounded to w[:n-k]'s subtree, in a C-level map pipeline.  In ball
+        one slice of ``values``.  At k >= 1 they are w[:n-k] and, below each
+        child of it off w's path, the top R-n-k-1 levels of a full subtree
+        with 2k levels more: fixed preorder offsets from the child's position
+        (one template per level), all read through one itemgetter.  In ball
         order the output is the part of each level before x[:k+1]'s subtree
         for k = 0..n, then the part after it for k = n..0."""
-        n = len(x)
-        w = Free2.inv(x)
-        src = _subtree_ranges(ball, len(ball[-1]), w)
-        dst = _subtree_ranges(out_ball, len(out_ball[-1]), x)
+        n, radius, out_r = len(x), _whole_ball_radius(ball), _whole_ball_radius(out_ball)
+        if out_r != radius - n:
+            raise ValueError(f"out_ball must be the whole sorted ball B_{radius - n}")
+        src = _subtree_ranges(ball, radius, Free2.inv(x))
+        dst = _subtree_ranges(out_ball, out_r, x)
         dst.append((dst[n][1], dst[n][1]))  # level n excludes no subtree
         lo = src[n][0]
         cp, cq = dst[1]
-        heads = [values[lo:lo + cp]]
-        tails = [values[lo + cp:lo + cp + len(out_ball) - cq]]
-        for k in range(1, n + 1):
-            (p, q), (cp, cq) = dst[k], dst[k + 1]
-            slo, shi = src[n - k]
-            cut, pre = itemgetter(slice(k, None)), w[:n - k].__add__
-            for part, ys in ((heads, out_ball[p:cp]), (tails, out_ball[cq:q])):
-                words = map(pre, map(cut, ys))
-                part.append(map(values.__getitem__, map(
-                    bisect_left, repeat(ball), words, repeat(slo), repeat(shi))))
+        idx, tails = [], []  # positions at levels 1..n: heads, then tails n..1
+        for k in range(1, min(n, out_r) + 1):
+            (ulo, uhi), (clo, chi) = src[n - k], src[n - k + 1]
+            level = [ulo]
+            if k < out_r:
+                size = chi - clo  # every child subtree of w[:n-k] has this size
+                top = _top_offsets(out_r - k - 1, out_r + k - 1)
+                for base in chain(range(ulo + 1, clo, size), range(chi, uhi, size)):
+                    level += map(base.__add__, top)
+            h = dst[k + 1][0] - dst[k][0]
+            idx += level[:h]
+            tails[:0] = level[h:]
+        idx += tails
+        # itemgetter of one index returns the value itself, not a tuple
+        mid = itemgetter(*idx)(values) if len(idx) > 1 else [values[i] for i in idx]
         fx = values[lo]
-        return tuple(map(fx.__rsub__, chain(*heads, *reversed(tails))))
+        return tuple(map(fx.__rsub__, chain(
+            values[lo:lo + cp], mid, values[lo + cp:lo + cp + len(out_ball) - cq])))
 
     @staticmethod
     def token(obj):
@@ -451,7 +477,7 @@ def act(x, f: ValueMap, g: CayleyGraph, budget: int = DEFAULT_BUDGET) -> ValueMa
     When ``f.domain`` is the graph's stored sorted ball B_{f.radius}, as for
     every Busemann table and every output of act, a graph with a closed-form
     gather (``act_row``; free-2 on its standard generators) reads f by
-    subtree ranges.  Otherwise each f(x^-1 y) is found by bisecting f's
+    preorder offsets.  Otherwise each f(x^-1 y) is found by bisecting f's
     sorted domain (:meth:`ValueMap.index`); no dict of f is built."""
     if not isinstance(g, CayleyGraph):
         raise TypeError("act requires a Cayley graph")

@@ -17,8 +17,8 @@ row (``RootedGraph.busemann_row``; free-2 on its standard generators), which
 builds the whole table from the layout of the sorted ball.  :class:`ValueMap`
 lookups bisect the sorted domain, and ``cayley.act`` gathers through that
 same lookup, except on free-2 on its standard generators when the map's
-domain is the graph's stored ball B_r: there it reads the map by subtree
-ranges (``Free2.act_row``).
+domain is the graph's stored ball B_r: there it reads a slice of the map
+and fixed preorder offsets from subtree positions (``Free2.act_row``).
 
 All operations are pure; graphs are immutable apart from one memo, the BFS
 ball about the basepoint with the sorted balls B_r read from it, and results

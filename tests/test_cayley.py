@@ -1,10 +1,12 @@
 import random
+from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import horoscope as h
+from horoscope import cayley
 from horoscope.cayley import Free2
 from conftest import FAMILY_SPECS, LINEAR_FAMILIES, bfs_distance
 
@@ -229,6 +231,67 @@ def test_free2_busemann_row_needs_whole_ball(graphs):
                 tuple(sorted(set(b3) - {"aB"}))):
         with pytest.raises(ValueError, match="whole sorted ball"):
             Free2.busemann_row("ab", bad)
+
+
+def _bad_balls(ball):
+    """Tuples that are not a whole sorted ball: empty, cut at either end,
+    overlong, reversed, and missing one word."""
+    return ((), ball[:-1], ball[1:], ball + ("b" * (len(ball[-1]) + 1),),
+            ball[::-1], tuple(sorted(set(ball) - {"aB"})))
+
+
+def test_free2_act_row_needs_whole_balls(graphs):
+    ld = h.layer_decomposition(graphs["free2"], 6)
+    f = h.busemann(graphs["free2"], "abA", 6).values
+    good = Free2.act_row("ab", f.values, ld.ball(), ld.ball(4))
+    assert good == h.act("ab", _twin(f), graphs["free2"]).values
+    bad_sources = _bad_balls(ld.ball())
+    bad_outs = _bad_balls(ld.ball(4)) + (ld.ball(3), ld.ball(5), ld.ball())
+    missing_ab = tuple(y for y in ld.ball() if y != "ab")
+    assert len(missing_ab) == len(ld.ball()) - 1
+    for ball, out_ball in chain(((b, ld.ball(4)) for b in bad_sources),
+                                ((ld.ball(), b) for b in bad_outs),
+                                [(missing_ab, ld.ball(4))]):
+        with pytest.raises(ValueError, match="whole sorted ball"):
+            Free2.act_row("ab", f.values[:len(ball)], ball, out_ball)
+
+
+def test_free2_act_bisections_grow_with_x_not_ball(monkeypatch):
+    # positions off x's path are offsets from subtree bases: the bisections
+    # are a bounded few per letter of x, the same on B_8 and on B_10
+    g = h.cayley_graph(h.GroupSpec("free-2"))
+    tables = {r: h.busemann(g, "abA", r).values for r in (8, 10)}
+    calls = []
+    bisect = cayley.bisect_left
+    monkeypatch.setattr(cayley, "bisect_left",
+                        lambda *a: calls.append(1) or bisect(*a))
+    for x in ("", "b", "Ab", "bAbA", "aBBaBB", "abababab"):
+        counts = []
+        for r, f in tables.items():
+            calls.clear()
+            out = h.act(x, f, g)
+            counts.append(len(calls))
+            assert out == h.act(x, _twin(f), g)
+        assert counts[0] == counts[1] <= 2 * len(x)
+
+
+def test_free2_act_matches_bisect_gather_on_every_radius(graphs):
+    # radii 0..9, every x with |x| <= min(R, 4) and some x of length R - 1
+    # and R: output balls down to B_0 and B_1, and empty offset templates
+    g = graphs["free2"]
+    rng = random.Random(10)
+    for r in range(10):
+        ball = h.layer_decomposition(g, r).ball()
+        noise = h.ValueMap(ball, tuple(rng.randrange(-99, 100) for _ in ball),
+                           radius=r)
+        twin = _twin(noise)
+        longest = [y for y in ball if len(y) >= r - 1]
+        xs = [y for y in ball if len(y) <= 4]
+        xs += rng.sample(longest, min(len(longest), 24))
+        for x in xs:
+            out = h.act(x, noise, g)
+            assert out == h.act(x, twin, g)
+            assert out.domain is h.layer_decomposition(g, r - len(x)).ball()
 
 
 def test_act_rejects_malformed_elements(graphs):
