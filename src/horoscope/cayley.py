@@ -18,9 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Any
 
 from .errors import (
@@ -325,8 +325,9 @@ class Free2:
         # itemgetter of one index returns the value itself, not a tuple
         mid = itemgetter(*idx)(values) if len(idx) > 1 else [values[i] for i in idx]
         fx = values[lo]
-        return tuple(map(fx.__rsub__, chain(
-            values[lo:lo + cp], mid, values[lo + cp:lo + cp + len(out_ball) - cq])))
+        return tuple(map(sub, chain(
+            values[lo:lo + cp], mid, values[lo + cp:lo + cp + len(out_ball) - cq]),
+            repeat(fx)))
 
     @staticmethod
     def token(obj):

@@ -18,7 +18,6 @@ Exit codes: 0 success, 2 usage, 3 malformed spec, 4 budget exhausted,
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -41,6 +40,7 @@ from .specs import (
     load_spec,
     object_from_spec,
     orbit_jsonable,
+    to_json,
     valuemap_jsonable,
     witness_hom_jsonable,
 )
@@ -279,8 +279,7 @@ def _csv_rows(command: str, report: dict):
 
 def render(command: str, report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps({"schema": SCHEMA, "command": command, **report},
-                          sort_keys=True, indent=2) + "\n"
+        return to_json({"schema": SCHEMA, "command": command, **report}) + "\n"
     lines = [f"# schema={SCHEMA}"]
     for row in _csv_rows(command, report):
         lines.append(",".join(str(x) for x in row))

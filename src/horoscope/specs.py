@@ -11,12 +11,17 @@ One JSON file describes one object, discriminated by "kind":
 Emitted reports are versioned with "schema": "horoscope/1"; group elements
 serialize as their normal form (ints, [a, b] pairs, or reduced words) and
 value maps as sorted [token, value] arrays.  No conversion layer is needed:
-``json`` writes a tuple as an array, byte for byte the same as a list.
+a tuple is written as an array, byte for byte the same as a list.  The JSON
+layout is exactly ``json.dumps(obj, sort_keys=True, indent=2)``; ``to_json``
+writes it with one format call per array of ints or of value-map items, and
+``test_to_json_matches_json_dumps`` in tests/test_specs_cli.py checks it.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .cayley import (
@@ -157,3 +162,80 @@ def witness_hom_jsonable(w: HomomorphismWitness):
         "kernel_sample": w.kernel_sample,
         "kernel_sample_size": len(w.kernel_sample),
     }
+
+
+# ---------------------------------------------------------------------------
+# JSON text
+
+
+def to_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte: dicts
+    and mixed lists are walked here, leaf arrays formatted in bulk by
+    ``_leaf_array``."""
+    return _encode(obj, "\n")
+
+
+def _encode(o, nl: str) -> str:
+    # ``nl`` is the newline and indent before the closing bracket of ``o``
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False or isinstance(o, float):
+        return json.dumps(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = _leaf_array(o, inner)
+        if body is None:
+            body = ("," + inner).join([_encode(v, inner) for v in o])
+        return "[" + inner + body + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
+        ) + nl + "}"
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key(k) -> str:
+    if k is not None and not isinstance(k, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {k.__class__.__name__}")
+    return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
+
+
+def _leaf_array(arr, nl: str) -> str | None:
+    """The items of ``arr``, each after ``nl``, joined by commas, or None if
+    ``arr`` is not a leaf array.  The shape is told by a type census of the
+    whole array (exact types, so a bool never passes as an int); the items
+    are then one template repeated, formatted over the flattened scalars."""
+    kinds = set(map(type, arr))
+    if kinds == {int}:
+        item, scalars = "%d", arr
+    elif kinds <= {list, tuple} and set(map(len, arr)) == {2}:
+        tokens, values = zip(*arr)
+        if set(map(type, values)) != {int}:
+            return None
+        kinds = set(map(type, tokens))
+        deep = nl + "  "
+        if kinds == {int}:
+            token, scalars = "%d", chain.from_iterable(arr)
+        elif kinds == {str}:
+            token = "%s"
+            scalars = chain.from_iterable(zip(map(encode_basestring_ascii, tokens), values))
+        elif kinds <= {list, tuple} and set(map(len, tokens)) == {2}:
+            firsts, seconds = zip(*tokens)
+            if set(map(type, firsts)) | set(map(type, seconds)) != {int}:
+                return None
+            deeper = deep + "  "
+            token = "[" + deeper + "%d," + deeper + "%d" + deep + "]"
+            scalars = chain.from_iterable(zip(firsts, seconds, values))
+        else:
+            return None
+        item = "[" + deep + token + "," + deep + "%d" + nl + "]"
+    else:
+        return None
+    return ("," + nl).join([item] * len(arr)) % tuple(scalars)

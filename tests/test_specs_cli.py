@@ -3,10 +3,12 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import horoscope as h
 from horoscope.cli import main
-from horoscope.specs import graph_from_spec, load_spec, object_from_spec
+from horoscope.specs import graph_from_spec, load_spec, object_from_spec, to_json
 
 
 def write_spec(tmp_path, name, payload):
@@ -257,11 +259,15 @@ LATTICE_DIAG_SPEC = {"kind": "cayley", "family": "integer-lattice-2d",
                                     [-1, -1], [1, 1]]}
 LADDER_SPEC = {"kind": "cayley", "family": "integers-times-cyclic", "modulus": 2}
 FREE2_SPEC = {"kind": "cayley", "family": "free-2"}
+ESCAPED_NAMES = ["v4", "v3", "v2", "雪", "é", 'a"b', "c\\d", "t\tab", "v1", "v5", "v6"]
+ESCAPED_PATH_SPEC = {"kind": "explicit", "vertices": ESCAPED_NAMES,
+                     "edges": [list(e) for e in zip(ESCAPED_NAMES, ESCAPED_NAMES[1:])],
+                     "basepoint": 'a"b'}
 
 # sha256 of the default reports: int tokens (integers), string tokens
-# (free-2), pair tokens (ladder, dihedral, lattice with custom generators,
-# and generator keys of the orbit action table), a Hall witness in a cover
-# trace, and one CSV report
+# (free-2, and a path whose names need escaping), pair tokens (ladder,
+# dihedral, lattice with custom generators, and generator keys of the orbit
+# action table), a Hall witness in a cover trace, and one CSV report
 GOLDEN_REPORTS = [
     pytest.param(
         Z_SPEC, ["growth"],
@@ -288,6 +294,10 @@ GOLDEN_REPORTS = [
         "243f5252a6f4065e2e8c1611f3461d5d3a94fddb3bbe617f8011148a9cec41e7",
         id="horo-lattice-diag"),
     pytest.param(
+        ESCAPED_PATH_SPEC, ["horo", "--radius", "2", "--depth", "5", "--window", "2"],
+        "1abc12f1803e61fb003285f1f52daba0220d8c41bc50855e365c2b0571821da6",
+        id="horo-escaped-strings"),
+    pytest.param(
         DIHEDRAL_SPEC, ["orbit"],
         "f85530406e32abbe4b8a8f8233e68f060596f61844c1f83a5ef45da9bee5a77c",
         id="orbit-dihedral"),
@@ -308,6 +318,54 @@ def test_cli_report_bytes(tmp_path, capsys, spec, argv, digest):
     code, out = run_cli(capsys, argv[0], path, *argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------- JSON text
+
+_ints = st.integers(-(2 ** 70), 2 ** 70)
+_pairs = st.tuples(_ints, _ints) | st.lists(_ints, min_size=2, max_size=2)
+
+
+def _value_maps(tokens):
+    item = st.tuples(tokens, _ints) | st.tuples(tokens, _ints).map(list)
+    return st.lists(item, max_size=5) | st.lists(item, max_size=5).map(tuple)
+
+
+_leaves = (st.none() | st.booleans() | _ints | st.floats() | st.text()
+           | st.lists(_ints | st.booleans(), max_size=5)
+           | _value_maps(_ints) | _value_maps(_pairs) | _value_maps(st.text()))
+_reports = st.recursive(
+    _leaves,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(st.text(), kids, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports)
+@example([1, True, 2])
+@example([[1, True], [2, 3]])
+@example([[True, 1], [2, 3]])
+@example([[(0, 1), 2], [(1, 0), False]])
+@example([[(0, 1), 2], [(1, 0, 2), 3]])
+@example([[(0, 1), 2], [(True, 0), 3]])
+@example([[2 ** 64, -(2 ** 70)], [-1, 0]])
+@example([float("nan"), float("inf"), float("-inf"), None, -0.0, 1e300])
+@example([["é", 1], ['a"b', 2], ["c\\d\t\x00\u2028", 3], ["雪", -4]])
+@example({"a": ([], {}, ()), "b": [[], [[]]], "c": [(), ()]})
+@example([("a", 1), ["b", 2], ("c", 3.0)])
+@example({"k": {0: "int", 2.5: "float", True: "bool"}, "n": {None: [1]}})
+@example({"maps": [[[1, 0], [2, 1]], [[(0, 0), 1]], [["w", 2]]]})
+def test_to_json_matches_json_dumps(x):
+    assert to_json(x) == json.dumps(x, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("x", [{"a": {1, 2}}, [[1, 2], {3}], {(1, 2): 3}, object()])
+def test_to_json_rejects_what_json_rejects(x):
+    with pytest.raises(TypeError):
+        json.dumps(x, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        to_json(x)
 
 
 # ---------------------------------------------------------------- README
