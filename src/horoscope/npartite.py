@@ -31,11 +31,14 @@ The monotone cover is the showpiece: k monotone paths such that every
 infinite monotone path shares infinitely many vertices with one of them,
 computed by induction on k via perfect matchings when they exist and via a
 Hall-failure split into a funnel part and its complement when they do not.
-Each mode has one decision function that matches every layer pair it tries
-once and returns either the matching selection or the Hall witness:
-``_stride_analysis`` (a Stride or a HallFailureWitness) for periodic graphs,
-``_truncation_witness`` (the first matching layer or the witness) for
-truncations.  The cover recursion and ``find_hall_failure`` both read it.
+One recursion, ``_cover_uniform``, serves both modes.  It asks
+``_matching_selection`` for a layer selection with matchings at every
+consecutive pair (a Stride, or a tuple of truncation layers) or for the Hall
+witness; that decision matches every layer pair it tries once, through
+``_stride_analysis`` on periodic graphs and ``_truncation_witness`` on
+truncations, which ``find_hall_failure`` reads as well.  The modes differ
+only where the input's shape decides: the split selection, how a part is
+covered, and the walk that pads a name.
 """
 
 from __future__ import annotations
@@ -819,20 +822,20 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     approximately in the depth).
 
     Pipeline: prune, pass to an equal-size layer subsequence when needed,
-    then recurse on the uniform graph: take the matching branch along a
-    stride when one exists, otherwise split along the Hall-failure witness
-    into the funnel Γ_A (the V sets) and its complement Γ_B, solve both by
-    induction, and lift everything back to the input graph.  k is the
-    uniform layer size after pruning; the result paths live in the original
-    layer indexing.
+    then run the one cover recursion, ``_cover_uniform``, on the uniform
+    graph: take the matching branch along the ``_matching_selection`` when
+    one exists, otherwise split along the Hall-failure witness into the
+    funnel Γ_A (the V sets) and its complement Γ_B, solve both by induction,
+    and lift everything back to the input graph.  k is the uniform layer
+    size after pruning; the result paths live in the original layer
+    indexing.
     """
     pr = prune_to_spanning(lg)
     g0, sel = pr.graph, pr.selection
     if sel is None and g0.is_periodic and g0.num_prefix > 0:
         sel = Stride(g0.num_prefix, 1)      # the recursion runs prefixless
     g1 = g0 if sel is None else monotone_reachability(g0, sel)
-    cover = _cover_uniform_periodic if g1.is_periodic else _cover_uniform_truncation
-    paths1, trace = cover(g1)
+    paths1, trace = _cover_uniform(g1)
     if sel is not None:
         paths1 = [_expand_path(g0, sel, q) for q in paths1]
     paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
@@ -840,88 +843,75 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
                        approximate=pr.approximate)
 
 
-def _cover_uniform_periodic(g: LayeredGraph):
-    """Cover recursion on a prefixless periodic graph with uniform layer
-    size; returns exactly that many paths plus the trace."""
-    k = _uniform_size(g)
-    res = _stride_analysis(g)
-    if isinstance(res, Stride):
-        pn = partition_by_matchings(monotone_reachability(g, res))
-        paths = [_expand_path(g, res, q) for q in pn]
-        return paths, TraceNode(kind="match", k=k,
-                                selection=("stride", res.start, res.stride))
-
-    witness = res
-    ms = witness.witness_layers               # equally spaced, one V throughout
-    sel = Stride(ms[0], ms[1] - ms[0])
-    gm = monotone_reachability(g, sel)         # one layer: the block is a period
-    rel = gm.forward_map(0)                    # the wrap relation of gm
-    v_names = witness.v_at(ms[0])
-    w_names = tuple(sorted(set(gm.layer(0)) - set(v_names)))
-
-    def child(sub):
-        try:
-            pruned = prune_to_spanning(_restricted(gm, [set(sub)])).graph
-        except EmptyGraph:
-            return [], TraceNode(kind="void", k=0), tuple(sub)
-        paths, trace = _cover_uniform_periodic(pruned)
-        dropped = tuple(sorted(set(sub) - set(pruned.period_layers[0])))
-        return paths, trace, dropped
-
-    paths_a, trace_a, dropped_a = child(v_names)
-    paths_b, trace_b, dropped_b = child(w_names)
-    padded = dropped_a + dropped_b
-    pad_paths = [_greedy_walk(rel, u) for u in padded]
-    paths_m = list(paths_a) + list(paths_b) + pad_paths
-    paths = [_expand_path(g, sel, q) for q in paths_m]
-    trace = TraceNode(kind="split", k=k, witness=witness,
-                      v=len(v_names), w=len(w_names),
-                      children=(trace_a, trace_b), padded=padded)
-    return paths, trace
-
-
-def _cover_uniform_truncation(g: LayeredGraph):
-    """Truncation analogue: greedy matchable chain, else Hall split."""
-    k = _uniform_size(g)
+def _matching_selection(g: LayeredGraph) -> Stride | tuple | HallFailureWitness:
+    """The layer selection along which every consecutive pair matches, or
+    the Hall witness: a Stride from ``_stride_analysis`` on periodic graphs,
+    on truncations the greedy chain of layers each matching its predecessor
+    through ``_truncation_witness``."""
+    if g.is_periodic:
+        return _stride_analysis(g)
     chain = [0]
     while chain[-1] < g.num_layers - 1:
         res = _truncation_witness(g, chain[-1])
         if isinstance(res, HallFailureWitness):
-            break                   # no deeper layer matches the chain's end
+            return res              # no deeper layer matches the chain's end
         chain.append(res)
-    else:
-        chain = tuple(chain)
-        pn = partition_by_matchings(monotone_reachability(g, chain))
-        paths = [_expand_path(g, chain, q) for q in pn]
-        return paths, TraceNode(kind="match", k=k,
-                                selection=("layers", chain))
+    return tuple(chain)
 
-    witness = res
+
+def _cover_uniform(g: LayeredGraph):
+    """The cover recursion on a uniform graph (prefixless when periodic):
+    exactly k paths plus the trace.
+
+    Matching branch: partition the reduction along the selection.  Split
+    branch: reduce to the witness layers (one layer, a whole period, on
+    periodic graphs), cover the funnel V and its complement W by induction,
+    and pad with walks from the layer-0 names that neither part accounts
+    for.  A periodic part is pruned and recursed on directly, since
+    ``monotone_cover`` would extend its nested split paths back to layer 0;
+    a truncation part goes through ``monotone_cover``.
+    """
+    k = _uniform_size(g)
+    sel = _matching_selection(g)
+    if not isinstance(sel, HallFailureWitness):
+        pn = partition_by_matchings(monotone_reachability(g, sel))
+        selection = ("stride", *sel) if isinstance(sel, Stride) else ("layers", sel)
+        return ([_expand_path(g, sel, q) for q in pn],
+                TraceNode(kind="match", k=k, selection=selection))
+
+    witness = sel
     ms = witness.witness_layers
-    vlen = witness.sizes[1]
-    gm = monotone_reachability(g, ms)
-    v_sets = [set(v) for _, v in witness.V]
-    w_sets = [set(gm.layer(t)) - v_sets[t] for t in range(len(ms))]
+    sel = Stride(ms[0], ms[1] - ms[0]) if g.is_periodic else ms
+    gm = monotone_reachability(g, sel)
+    # one V per layer of gm; a periodic gm is one layer, and its V repeats
+    v_sets = [set(v) for (_, v), _ in zip(witness.V, gm.layers)]
+    w_sets = [set(layer) - v for layer, v in zip(gm.layers, v_sets)]
 
-    def child(layer_sets, expect):
+    def child(layer_sets):
+        """Paths and trace of one part, and the layer-0 names it accounts for."""
         try:
+            if g.is_periodic:
+                pruned = prune_to_spanning(_restricted(gm, layer_sets)).graph
+                return (*_cover_uniform(pruned), set(pruned.layers[0]))
             res = monotone_cover(_restricted(gm, layer_sets))
         except EmptyGraph:
-            return [], TraceNode(kind="void", k=0), expect
-        pad = expect - res.k
-        return list(res.paths), res.trace, pad
+            return [], TraceNode(kind="void", k=0), set()
+        return (list(res.paths), res.trace,
+                {q.name_at(0) for q in res.paths if q.covers(0)})
 
-    paths_a, trace_a, pad_a = child(v_sets, vlen)
-    paths_b, trace_b, pad_b = child(w_sets, k - vlen)
-    covered0 = {q.name_at(0) for q in paths_a + paths_b if q.covers(0)}
-    spare = [a for a in gm.layer(0) if a not in covered0]
-    spare += [a for a in gm.layer(0)]          # fallback pool, deterministic
-    padded = tuple(spare[: pad_a + pad_b])
-    pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
-    paths_m = paths_a + paths_b + pad_paths
-    paths = [_expand_path(g, ms, q) for q in paths_m]
-    trace = TraceNode(kind="split", k=k, witness=witness, v=vlen, w=k - vlen,
-                      children=(trace_a, trace_b), padded=padded)
+    paths_a, trace_a, kept_a = child(v_sets)
+    paths_b, trace_b, kept_b = child(w_sets)
+    # each part path accounts for at most one name: spare never runs short
+    spare = [a for a in gm.layer(0) if a not in kept_a and a not in kept_b]
+    padded = tuple(spare[:k - len(paths_a) - len(paths_b)])
+    if g.is_periodic:
+        pad_paths = [_greedy_walk(gm.forward_map(0), u) for u in padded]
+    else:
+        pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
+    paths = [_expand_path(g, sel, q) for q in paths_a + paths_b + pad_paths]
+    trace = TraceNode(kind="split", k=k, witness=witness, v=witness.sizes[1],
+                      w=k - witness.sizes[1], children=(trace_a, trace_b),
+                      padded=padded)
     return paths, trace
 
 
@@ -953,7 +943,7 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
         masks = {}
         for j, q in enumerate(paths):
             name = q.name_at(i)
-            if name is not None:
+            if name is not None or q.covers(i):     # a name may be None itself
                 masks[name] = masks.get(name, 0) + (1 << (width * j))
         return masks
 

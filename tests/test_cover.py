@@ -310,6 +310,17 @@ def test_intersection_minima_past_255_layers():
         {10: 11, 254: 255}
 
 
+def test_intersection_minima_count_a_name_none():
+    # a path covering layer i is hit there even when its name is None;
+    # the same graph with a named vertex gives the same minima
+    def one_spine(name):
+        lg = h.build_layered({"kind": "layered", "period": {"layers": [[name]]},
+                              "wrap": [[name, name]]})
+        return h.spanning_intersection_minima(lg, h.monotone_cover(lg).paths)
+
+    assert one_spine(None) == one_spine("a") == {10: 11, 20: 21, 40: 41}
+
+
 # ---------------------------------------------------------------- golden digest
 
 
@@ -370,6 +381,65 @@ def test_golden_cover_digest():
     blob = json.dumps([[name, golden_record(lg)] for name, lg in golden_cases()])
     assert hashlib.sha256(blob.encode()).hexdigest() == \
         "33a36c60e7bc5d571d0f6d5406b26c98f815ad5348ae142c06162957c31222b1"
+
+
+def funnel_truncation(seed):
+    """Seeded truncation with k = 3-6 names in every layer and depth 4-8:
+    each step squeezes a random funnel set into fewer names while the other
+    names feed the rest, so most draws split on a Hall failure.  Every draw
+    samples a sorted list, never a set."""
+    rng = random.Random(seed)
+    k = rng.randint(3, 6)
+    depth = rng.randint(4, 8)
+    names = [f"v{i}" for i in range(k)]
+    steps = []
+    for _ in range(depth):
+        funnel = sorted(rng.sample(names, rng.randint(2, k - 1)))
+        narrow = sorted(rng.sample(names, rng.randint(1, len(funnel) - 1)))
+        rest = [a for a in names if a not in funnel]
+        pairs = [(a, rng.choice(narrow)) for a in funnel]
+        pairs += [(rng.choice(rest), b) for b in names if b not in narrow]
+        sources = {a for a, _ in pairs}
+        pairs += [(a, rng.choice(names)) for a in rest if a not in sources]
+        pairs += [(rng.choice(names), rng.choice(names))
+                  for _ in range(rng.randrange(0, 2))]
+        steps.append(sorted(set(pairs)))
+    return h.LayeredGraph.truncation([names] * (depth + 1), steps)
+
+
+def test_golden_truncation_split_digest():
+    # the truncation branch of the cover recursion: 100 funnel truncations
+    # whose covers hold 66 split nodes (59 graphs split), 33 of them padded
+    cases = [funnel_truncation(s) for s in range(100)]
+    records = [golden_record(lg) for lg in cases]
+    splits = [node for lg in cases for node in walk_trace(h.monotone_cover(lg).trace)
+              if node.kind == "split"]
+    assert len(splits) == 66
+    assert sum(1 for node in splits if node.padded) == 33
+    blob = json.dumps(records)
+    assert hashlib.sha256(blob.encode()).hexdigest() == \
+        "5ba9a30a6186b563dd1bee41cf1512b69e4d80ac6ad83fc9098c32df7bd7a97e"
+
+
+def test_periodic_splits_pad_only_the_complement():
+    # the cover pads the layer-0 names that neither child keeps; in a
+    # periodic split the funnel child keeps all of V, so only names of the
+    # complement W are ever padded
+    splits = 0
+    for name, lg in golden_cases():
+        if not lg.is_periodic:
+            continue
+        try:
+            res = h.monotone_cover(lg)
+        except h.HoroscopeError:
+            continue
+        for node in walk_trace(res.trace):
+            if node.kind == "split":
+                splits += 1
+                funnel = {a for _, v in node.witness.V for a in v}
+                assert node.children[0].k == node.v, name
+                assert not funnel & set(node.padded), name
+    assert splits == 61
 
 
 @pytest.mark.parametrize("lg,calls", [

@@ -3,8 +3,7 @@ import pytest
 import horoscope as h
 from horoscope import corpus
 from horoscope.npartite import (
-    _cover_uniform_periodic,
-    _cover_uniform_truncation,
+    _cover_uniform,
     enumerate_spanning_paths,
     relation_between,
 )
@@ -345,11 +344,11 @@ def test_uniform_recursion_rejects_unequal_layers():
     # that python -O strips into "k is the size of some layer"
     trunc = h.LayeredGraph.truncation([["a"], ["b", "c"]], [[("a", "b"), ("a", "c")]])
     with pytest.raises(h.UnequalLayers, match=r"sizes \[1, 2\]"):
-        _cover_uniform_truncation(trunc)
+        _cover_uniform(trunc)
     periodic = h.LayeredGraph.periodic(
         [["a"], ["b", "c"]], [[("a", "b"), ("a", "c")]], [("b", "a"), ("c", "a")])
     with pytest.raises(h.UnequalLayers):
-        _cover_uniform_periodic(periodic)
+        _cover_uniform(periodic)
 
 
 def test_hall_failure_truncation_mode():
