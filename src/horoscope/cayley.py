@@ -40,17 +40,21 @@ from .graphs import (
     layer_decomposition,
 )
 
-FAMILIES = (
-    "integers",
-    "integers-times-cyclic",
-    "infinite-dihedral",
-    "integer-lattice-2d",
-    "free-2",
-)
-
 
 # ---------------------------------------------------------------------------
 # family arithmetic
+
+
+def _int_pair(obj, shape):
+    """The pair of exact ints ``obj`` (a 2-sequence) as a tuple; MalformedSpec
+    for any other shape or entry, bools and floats included."""
+    try:
+        a, b = obj
+    except (TypeError, ValueError):
+        raise MalformedSpec(f"element must be a pair {shape}, got {obj!r}") from None
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (a, b)):
+        raise MalformedSpec(f"element {obj!r} must be a pair of integers {shape}")
+    return (a, b)
 
 
 class Integers:
@@ -103,11 +107,8 @@ class IntegersTimesCyclic:
         return abs(x[0]) + min(t, self.modulus - t)
 
     def token(self, obj):
-        try:
-            n, t = obj
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"element must be a pair [n, t], got {obj!r}")
-        if not isinstance(n, int) or not isinstance(t, int) or not 0 <= t < self.modulus:
+        n, t = _int_pair(obj, "[n, t]")
+        if not 0 <= t < self.modulus:
             raise MalformedSpec(f"bad pair {obj!r} for modulus {self.modulus}")
         return (n, t)
 
@@ -142,11 +143,8 @@ class InfiniteDihedral:
 
     @staticmethod
     def token(obj):
-        try:
-            k, s = obj
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"element must be a pair [k, s], got {obj!r}")
-        if not isinstance(k, int) or s not in (0, 1):
+        k, s = _int_pair(obj, "[k, s]")
+        if s not in (0, 1):
             raise MalformedSpec(f"bad dihedral pair {obj!r}")
         return (k, s)
 
@@ -173,13 +171,7 @@ class IntegerLattice2D:
 
     @staticmethod
     def token(obj):
-        try:
-            a, b = obj
-        except (TypeError, ValueError):
-            raise MalformedSpec(f"element must be a pair [a, b], got {obj!r}")
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise MalformedSpec(f"bad lattice pair {obj!r}")
-        return (a, b)
+        return _int_pair(obj, "[a, b]")
 
 
 _FREE_INVERSE = {"a": "A", "A": "a", "b": "B", "B": "b"}
@@ -246,10 +238,6 @@ class Free2:
     @staticmethod
     def default_generators():
         return ("A", "B", "a", "b")
-
-    @staticmethod
-    def norm(x):
-        return len(x)
 
     @staticmethod
     def distance(x, y):
@@ -342,6 +330,15 @@ class Free2:
         return obj
 
 
+FAMILIES = {
+    "integers": Integers,
+    "integers-times-cyclic": IntegersTimesCyclic,
+    "infinite-dihedral": InfiniteDihedral,
+    "integer-lattice-2d": IntegerLattice2D,
+    "free-2": Free2,
+}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A built-in family plus a finite symmetric generating set."""
@@ -351,18 +348,13 @@ class GroupSpec:
     modulus: int | None = None
 
     def resolve(self):
-        if self.family == "integers":
-            return Integers()
-        if self.family == "integers-times-cyclic":
-            return IntegersTimesCyclic(self.modulus or 0)
-        if self.family == "infinite-dihedral":
-            return InfiniteDihedral()
-        if self.family == "integer-lattice-2d":
-            return IntegerLattice2D()
-        if self.family == "free-2":
-            return Free2()
-        raise MalformedSpec(
-            f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        family = FAMILIES.get(self.family) if isinstance(self.family, str) else None
+        if family is None:
+            raise MalformedSpec(
+                f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
+        if family is IntegersTimesCyclic:
+            return family(self.modulus or 0)
+        return family()
 
 
 class CayleyGraph(RootedGraph):

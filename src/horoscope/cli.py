@@ -22,12 +22,13 @@ import random
 import sys
 
 from .cayley import extract_homomorphism, orbit_analysis
-from .errors import BudgetExhausted, HoroscopeError, MalformedSpec
+from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, RayNotExtendable
 from .graphs import (
     GeodesicRay,
     RootedGraph,
     distance,  # noqa: F401  (perfbench's tracer test reads cli.distance)
     enumerate_horofunction_restrictions,
+    extend_ray,
     layer_decomposition,
     recurring_sphere_size,
     reroot_ray,
@@ -58,6 +59,12 @@ def validate(args: argparse.Namespace) -> None:
             raise MalformedSpec("--depth must be positive")
         if args.command == "horo" and args.window >= args.depth:
             raise MalformedSpec("--window must be smaller than --depth")
+
+
+def _enumeration_depth(args: argparse.Namespace, r: int) -> int:
+    """--depth, 4r by default, raised to the least depth the sphere-window
+    enumeration accepts at radius r, 2r + 1."""
+    return max(args.depth if args.depth is not None else 4 * r, 2 * r + 1)
 
 
 def _require_graph(spec) -> RootedGraph:
@@ -115,8 +122,7 @@ def cmd_horo(args: argparse.Namespace) -> dict:
     per_radius = []
     counts = []
     for r in range(1, args.radius + 1):
-        depth = args.depth if args.depth is not None else 4 * r
-        depth = max(depth, 2 * r + 1)
+        depth = _enumeration_depth(args, r)
         maps = enumerate_horofunction_restrictions(g, r, depth, args.window,
                                                    budget=args.budget)
         counts.append(len(maps))
@@ -164,7 +170,7 @@ def cmd_orbit(args: argparse.Namespace) -> dict:
     g = graph_from_spec(spec)
     growth = growth_report(g, max(args.ball, 12), args.budget)
     r_enum = max(args.radius, args.ball + 4)
-    depth = args.depth if args.depth is not None else 4 * r_enum
+    depth = _enumeration_depth(args, r_enum)
     horos = enumerate_horofunction_restrictions(g, r_enum, depth, args.window,
                                                 budget=args.budget)
     orb = orbit_analysis(g, horos, args.ball, budget=args.budget)
@@ -181,18 +187,6 @@ def cmd_orbit(args: argparse.Namespace) -> dict:
     return report
 
 
-def _random_prefix(g: RootedGraph, start, length, rng, budget):
-    dist_from_start = g.metric_from(start, budget, reach=length)
-    vs = [start]
-    for _ in range(length):
-        want = len(vs)
-        cands = [u for u in g.neighbors(vs[-1]) if dist_from_start(u) == want]
-        if not cands:
-            return None
-        vs.append(rng.choice(cands))
-    return GeodesicRay(tuple(vs))
-
-
 def cmd_reroot(args: argparse.Namespace) -> dict:
     g = _require_graph(load_spec(args.input))
     rng = random.Random(args.seed)
@@ -202,8 +196,10 @@ def cmd_reroot(args: argparse.Namespace) -> dict:
     count = 100
     for i in range(count):
         start = rng.choice(ball)
-        ray = _random_prefix(g, start, length, rng, args.budget)
-        if ray is None:
+        prefix = GeodesicRay((start,), lambda _g, _vs, cands: rng.choice(cands))
+        try:
+            ray = extend_ray(g, prefix, length, args.budget)
+        except RayNotExtendable:
             results.append({"start": start, "skipped": True})
             continue
         n0, rerooted = reroot_ray(g, ray, args.budget)

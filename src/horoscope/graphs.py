@@ -4,8 +4,8 @@ The central object is :class:`RootedGraph`: a basepoint plus a neighbor
 oracle returning canonically sorted finite neighbor lists, so graphs may be
 infinite and are explored lazily by BFS.  On top of it live sphere
 decompositions, Busemann tables b_z(y) = d(z,y) - d(z,o), geodesic rays
-(finite prefixes plus an extension policy), stabilized horofunction
-restrictions, and ray rerooting.
+(finite prefixes plus a policy that chooses among the distance-increasing
+neighbors), stabilized horofunction restrictions, and ray rerooting.
 
 Every distance query goes through one method, :meth:`RootedGraph.metric_from`,
 which returns u -> d(z, u).  A plain graph runs a BFS from z; a Cayley graph
@@ -363,10 +363,11 @@ def busemann(g: RootedGraph, z: Vertex, r: int,
 class GeodesicRay:
     """A geodesic prefix (x_0, ..., x_L) plus an optional extension policy.
 
-    The policy, when given, is a callable (graph, prefix_tuple) -> vertex
-    proposing the next vertex; it must increase the distance from x_0 by one.
-    Without a policy, extension picks the canonically least neighbor that
-    does so.
+    The policy, when given, is a callable (graph, prefix_tuple, candidates)
+    -> vertex that chooses among the distance-increasing neighbors: the
+    candidates are the sorted neighbors of x_L at distance L + 1 from x_0,
+    and returning None gives up.  Without a policy, extension picks the
+    least candidate.
     """
 
     vertices: tuple[Vertex, ...]
@@ -400,34 +401,34 @@ def extend_ray(g: RootedGraph, ray: GeodesicRay, length: int,
                budget: int = DEFAULT_BUDGET) -> GeodesicRay:
     """Extend the prefix to the requested length.
 
-    Uses the ray's own extension policy when present, else the canonical
-    one (least neighbor increasing the distance from x_0).  Raises
-    RayNotExtendable when no neighbor qualifies.
+    Each step computes the candidates once, the sorted neighbors of the tip
+    one step farther from x_0; the ray's policy chooses among these
+    distance-increasing neighbors, and without one the least is taken.
+    Raises RayNotExtendable when there is no candidate or the policy returns
+    None, and NotGeodesic when it picks another vertex.
     """
     vs = list(ray.vertices)
     if len(vs) - 1 >= length:
         return ray
+    policy = ray.extension
     dist_from_start = g.metric_from(vs[0], budget, reach=length)
     while len(vs) - 1 < length:
         tip = vs[-1]
         want = len(vs)  # required distance from x_0 for the next vertex
-        if ray.extension is not None:
-            nxt = ray.extension(g, tuple(vs))
-            if nxt is None:
-                raise RayNotExtendable(f"policy gave up at length {len(vs) - 1}")
-            if nxt not in g.neighbors(tip) or dist_from_start(nxt) != want:
-                raise NotGeodesic(
-                    f"extension policy proposed {nxt!r}, which does not extend "
-                    "the geodesic")
-        else:
-            cands = [u for u in g.neighbors(tip) if dist_from_start(u) == want]
-            if not cands:
-                raise RayNotExtendable(
-                    f"no distance-increasing neighbor at {tip!r} "
-                    f"(length {len(vs) - 1})")
-            nxt = min(cands)
+        cands = [u for u in g.neighbors(tip) if dist_from_start(u) == want]
+        if not cands:
+            raise RayNotExtendable(
+                f"no distance-increasing neighbor at {tip!r} "
+                f"(length {len(vs) - 1})")
+        nxt = min(cands) if policy is None else policy(g, tuple(vs), cands)
+        if nxt is None:
+            raise RayNotExtendable(f"policy gave up at length {len(vs) - 1}")
+        if nxt not in cands:
+            raise NotGeodesic(
+                f"extension policy chose {nxt!r}, which does not extend "
+                "the geodesic")
         vs.append(nxt)
-    return GeodesicRay(tuple(vs), ray.extension)
+    return GeodesicRay(tuple(vs), policy)
 
 
 def canonical_ray(g: RootedGraph, length: int,

@@ -56,7 +56,9 @@ from .errors import (
     NoConstantSubsequence,
     NoMatching,
     NonConsecutiveEdge,
+    NotGeodesic,
     NotMonotone,
+    RayNotExtendable,
     RayTooShort,
     UnequalLayers,
 )
@@ -1054,7 +1056,7 @@ def ray_to_monotone(g: RootedGraph, lg: LayeredGraph,
     if ray.length < radii[-1]:
         try:
             ray = extend_ray(g, ray, radii[-1], budget)
-        except Exception as exc:
+        except (RayNotExtendable, NotGeodesic) as exc:
             raise RayTooShort(
                 f"ray of length {ray.length} cannot cross the last sphere "
                 f"(radius {radii[-1]})") from exc

@@ -63,10 +63,19 @@ def test_bad_specs():
         h.cayley_graph(h.GroupSpec("integers", generators=(2, -3)))
     with pytest.raises(h.MalformedSpec):
         h.cayley_graph(h.GroupSpec("integers-times-cyclic", modulus=1))
-    with pytest.raises(h.MalformedSpec):
-        h.cayley_graph(h.GroupSpec("no-such-family"))
+    for family in ("no-such-family", ["integers"]):
+        with pytest.raises(h.MalformedSpec):
+            h.cayley_graph(h.GroupSpec(family))
     with pytest.raises(h.MalformedSpec):
         h.cayley_graph(h.GroupSpec("free-2", generators=("a", "A", "aA", "Aa")))
+    # pair elements hold exact ints, as integers elements do: no bool, no float
+    for family, gens in [
+            ("infinite-dihedral", ([0, 1.0], [1, 1])),
+            ("infinite-dihedral", ([True, 1], [0, 1])),
+            ("integer-lattice-2d", ([True, 0], [-1, 0], [0, 1], [0, -1])),
+            ("integers-times-cyclic", ([1, 0], [-1, 0], [1, False]))]:
+        with pytest.raises(h.MalformedSpec):
+            h.cayley_graph(h.GroupSpec(family, generators=gens, modulus=2))
 
 
 def test_custom_generators_word_metric():

@@ -217,6 +217,26 @@ def test_prefix_funnel_sheds_prefix_then_splits():
     assert any(p.covers(0) and p.name_at(0) == "s" for p in res.paths)
 
 
+@pytest.mark.parametrize("wrap", [[("a", "a"), ("b", "a")], [("a", "a"), ("b", "b")]],
+                         ids=["funnel", "spines"])
+def test_uniform_prefix_runs_the_recursion_prefixless(wrap):
+    # every surviving layer has the block's size, so pruning selects no
+    # layers; the recursion still runs on the period alone, so its trace is
+    # that of the graph without the prefix
+    lg = h.LayeredGraph.periodic(
+        [["a", "b"]], [], wrap, prefix_layers=[["s", "t"]], prefix_steps=[],
+        seam=[("s", "a"), ("t", "b")])
+    assert h.prune_to_spanning(lg).selection is None and lg.num_prefix == 1
+    res = h.monotone_cover(lg)
+    bare = h.LayeredGraph.periodic([["a", "b"]], [], wrap)
+    assert res.trace == h.monotone_cover(bare).trace
+    assert res.k == 2
+    for p in res.paths:
+        p.validate(lg, depth=50)
+    minima = h.spanning_intersection_minima(lg, res.paths, (10,))
+    assert minima[10] == brute_minimum(lg, res.paths, 10) >= 1
+
+
 def test_reachability_crossing_the_prefix():
     red = h.monotone_reachability(corpus.prefix_feeder(), h.Stride(0, 2))
     assert red.prefix_layers == (("s",),)

@@ -46,6 +46,10 @@ def test_distance_budget_exhausted():
     g = h.explicit_graph(["a", "b", "c"], [["a", "b"]], "a")
     with pytest.raises(h.BudgetExhausted):
         h.distance(g, "a", "c")
+    path = h.explicit_graph(list(range(6)), [[i, i + 1] for i in range(5)], 0)
+    with pytest.raises(h.BudgetExhausted):      # the BFS explores a 4th vertex
+        h.distance(path, 0, 5, budget=3)
+    assert h.distance(path, 0, 5, budget=6) == 5
 
 
 def test_symmetry_check(graphs):
@@ -208,11 +212,19 @@ def test_canonical_ray(graphs):
 
 def test_extend_ray_policy(graphs):
     g = graphs["integers"]
-    ray = h.GeodesicRay((0,), extension=lambda gg, vs: vs[-1] + 1)
+    ray = h.GeodesicRay((0,), extension=lambda gg, vs, cands: vs[-1] + 1)
     assert h.extend_ray(g, ray, 4).vertices == (0, 1, 2, 3, 4)
-    bad = h.GeodesicRay((0, 1), extension=lambda gg, vs: vs[-1] - 1)
+    bad = h.GeodesicRay((0, 1), extension=lambda gg, vs, cands: vs[-1] - 1)
     with pytest.raises(h.NotGeodesic):
         h.extend_ray(g, bad, 4)
+
+
+def test_extend_ray_policy_chooses_among_candidates(graphs):
+    seen = []
+    ray = h.GeodesicRay((0,), extension=lambda gg, vs, cands:
+                        seen.append(cands) or cands[-1])
+    assert h.extend_ray(graphs["integers"], ray, 3).vertices == (0, 1, 2, 3)
+    assert seen == [[-1, 1], [2], [3]]
 
 
 def test_extend_ray_dead_end():
@@ -448,6 +460,23 @@ def test_custom_enumeration_matches_brute_force():
         expected = seen if expected is None else expected & seen
     assert sorted(m.values for m in got) == sorted(expected)
     assert all(m.domain == ball for m in got)
+
+
+@pytest.mark.parametrize("name", list(CUSTOM_SPECS))
+def test_word_length_reach_matches_bfs(name):
+    g = h.cayley_graph(CUSTOM_SPECS[name])
+    reach = 3
+    ball = h.layer_decomposition(g, reach + 1).ball()
+    for z in random.Random(5).sample(ball, 4):
+        dist = g.metric_from(z, 10 ** 6, reach=reach)
+        for u in ball:
+            assert dist(u) == min(bfs_distance(g, z, u), reach + 1)
+    size = len(h.layer_decomposition(g, reach).ball())
+    fresh = h.cayley_graph(CUSTOM_SPECS[name])
+    with pytest.raises(h.BudgetExhausted):
+        fresh.metric_from(fresh.basepoint, size - 1, reach=reach)
+    assert fresh.metric_from(fresh.basepoint, size, reach=reach)(
+        fresh.basepoint) == 0
 
 
 def test_custom_distance_budget():

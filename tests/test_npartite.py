@@ -419,7 +419,7 @@ def test_sphere_quotient_explicit_radii(graphs):
 def test_ray_to_monotone_positive_spine(graphs):
     g = graphs["integers"]
     sq = h.sphere_quotient(g, bound=10)
-    up = h.GeodesicRay((0,), extension=lambda gg, vs: vs[-1] + 1)
+    up = h.GeodesicRay((0,), extension=lambda gg, vs, cands: vs[-1] + 1)
     path = h.ray_to_monotone(g, sq, up)
     assert path.head == tuple(range(1, 11))
 
@@ -448,9 +448,18 @@ def test_ray_to_monotone_requires_tags(graphs):
 def test_ray_too_short_when_extension_fails():
     g = h.explicit_graph(list(range(6)), [[i, i + 1] for i in range(5)], 0)
     sq = h.sphere_quotient(g, radii=[1, 2, 3, 4, 5])
-    stuck = h.GeodesicRay((0, 1), extension=lambda gg, vs: None)
+    stuck = h.GeodesicRay((0, 1), extension=lambda gg, vs, cands: None)
     with pytest.raises(h.RayTooShort):
         h.ray_to_monotone(g, sq, stuck)
+
+
+def test_ray_to_monotone_keeps_budget_errors():
+    # extending the ray to the last sphere needs |B_30| = 181 > 20 vertices:
+    # a budget error (exit 4), not a short ray (exit 6)
+    g = h.cayley_graph(h.GroupSpec("integers", generators=(-3, -2, 2, 3)))
+    sq = h.sphere_quotient(g, bound=30)
+    with pytest.raises(h.BudgetExhausted):
+        h.ray_to_monotone(g, sq, h.GeodesicRay((0,)), budget=20)
 
 
 def test_monotone_ray_roundtrip(graphs):

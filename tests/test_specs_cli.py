@@ -180,6 +180,13 @@ def test_cli_horo_explicit_depth(tmp_path, capsys):
     assert report["counts"] == [2, 2, 2]
 
 
+def test_cli_orbit_raises_depth_to_enumeration_minimum(tmp_path, capsys):
+    path = write_spec(tmp_path, "z.json", Z_SPEC)
+    code, out = run_cli(capsys, "orbit", path, "--depth", "5")
+    assert code == 0
+    assert json.loads(out)["enumeration"] == {"radius": 12, "depth": 25, "count": 2}
+
+
 def test_cli_csv_format(tmp_path, capsys):
     path = write_spec(tmp_path, "z.json", Z_SPEC)
     code, out = run_cli(capsys, "growth", path, "--format", "csv")
@@ -245,7 +252,8 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {**HALL_SPEC, "wrap": [["a"]]}),
             ("cover", {**HALL_SPEC, "wrap": 5}),
             ("cover", {"kind": "layered", "layers": [["a", 1]], "edges": []}),
-            ("cover", {"kind": "layered", "period": {"layers": [["a", 1]]}})]:
+            ("cover", {"kind": "layered", "period": {"layers": [["a", 1]]}}),
+            ("growth", {**DIHEDRAL_SPEC, "generators": [[0, 1.0], [1, 1]]})]:
         assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
@@ -258,6 +266,11 @@ LATTICE_DIAG_SPEC = {"kind": "cayley", "family": "integer-lattice-2d",
                      "generators": [[-1, 0], [1, 0], [0, -1], [0, 1],
                                     [-1, -1], [1, 1]]}
 LADDER_SPEC = {"kind": "cayley", "family": "integers-times-cyclic", "modulus": 2}
+DIHEDRAL3_SPEC = {"kind": "cayley", "family": "infinite-dihedral",
+                  "generators": [[0, 1], [1, 1], [2, 1]]}
+# a path with the basepoint in the middle: prefixes that run into an end skip
+PATH13_SPEC = {"kind": "explicit", "vertices": list(range(13)),
+               "edges": [[i, i + 1] for i in range(12)], "basepoint": 6}
 FREE2_SPEC = {"kind": "cayley", "family": "free-2"}
 ESCAPED_NAMES = ["v4", "v3", "v2", "雪", "é", 'a"b', "c\\d", "t\tab", "v1", "v5", "v6"]
 ESCAPED_PATH_SPEC = {"kind": "explicit", "vertices": ESCAPED_NAMES,
@@ -306,9 +319,33 @@ GOLDEN_REPORTS = [
         "d331c74b1cdef04ca1c3d5260c1c63144ffba389b6593e14c8a8a12c9610e6ed",
         id="reroot-ladder"),
     pytest.param(
+        DIHEDRAL3_SPEC, ["reroot", "--depth", "20", "--ball", "6"],
+        "a9630c90199d81f0c7ba9425022da6395815cf03ade4e89c4b356937cf8c9740",
+        id="reroot-dihedral3"),
+    pytest.param(
+        PATH13_SPEC, ["reroot", "--depth", "5", "--ball", "3"],
+        "a089bea47e16592f84da73f78b609a202d2b286f5620b628446793912a478f01",
+        id="reroot-path-skips"),
+    pytest.param(
+        PATH13_SPEC, ["reroot", "--depth", "5", "--ball", "3", "--format", "csv"],
+        "5c1b07b9e7fe3ff8a35917631205ca12d68c5145c06e33efcbd03b662cad9ad3",
+        id="reroot-path-skips-csv"),
+    pytest.param(
+        Z_SPEC, ["horo", "--radius", "4", "--format", "csv"],
+        "8959b319bd9ba292387129c6e8a6bfe4ccef186a5d37abdd88054c17c4a69fd3",
+        id="horo-integers-csv"),
+    pytest.param(
+        DIHEDRAL_SPEC, ["orbit", "--format", "csv"],
+        "9185d983cd74c00c76735b7fff02beacca4318ac576ff7e6e6745fb2a55796d5",
+        id="orbit-dihedral-csv"),
+    pytest.param(
         HALL_SPEC, ["cover"],
         "a8a17096c6688ed1e57738b1ec2b33460c98eb9b3e9f012db27fcc897ff14a0f",
         id="cover-hall"),
+    pytest.param(
+        HALL_SPEC, ["cover", "--format", "csv"],
+        "c9c32201756dea85773f1e5685cdcb9f9eb9bcbed2419f474c54e1f308d0d498",
+        id="cover-hall-csv"),
 ]
 
 
