@@ -74,8 +74,8 @@ class Integers:
         return (-1, 1)
 
     @staticmethod
-    def norm(x):
-        return abs(x)
+    def distance(x, y):
+        return abs(y - x)
 
     @staticmethod
     def token(obj):
@@ -102,9 +102,9 @@ class IntegersTimesCyclic:
         gens = {(1, 0), (-1, 0), (0, 1), (0, self.modulus - 1)}
         return tuple(sorted(gens))
 
-    def norm(self, x):
-        t = x[1]
-        return abs(x[0]) + min(t, self.modulus - t)
+    def distance(self, x, y):
+        t = (y[1] - x[1]) % self.modulus
+        return abs(y[0] - x[0]) + min(t, self.modulus - t)
 
     def token(self, obj):
         n, t = _int_pair(obj, "[n, t]")
@@ -137,9 +137,9 @@ class InfiniteDihedral:
         return ((0, 1), (1, 1))
 
     @staticmethod
-    def norm(x):
-        (k, s) = x
-        return abs(2 * k - 1) if s else 2 * abs(k)
+    def distance(x, y):
+        k = x[0] - y[0] if x[1] else y[0] - x[0]   # x^-1 y = (k, s1 ^ s2)
+        return abs(2 * k - 1) if x[1] ^ y[1] else 2 * abs(k)
 
     @staticmethod
     def token(obj):
@@ -166,8 +166,8 @@ class IntegerLattice2D:
         return ((-1, 0), (0, -1), (0, 1), (1, 0))
 
     @staticmethod
-    def norm(x):
-        return abs(x[0]) + abs(x[1])
+    def distance(x, y):
+        return abs(y[0] - x[0]) + abs(y[1] - x[1])
 
     @staticmethod
     def token(obj):
@@ -385,8 +385,7 @@ class CayleyGraph(RootedGraph):
         super().__init__(lambda x: [mul(x, s) for s in gens], group.identity,
                          degree_bound=len(gens), name=group.name)
         if gens == tuple(sorted(group.default_generators())):
-            self.exact_distance = getattr(group, "distance", None) or (
-                lambda x, y: group.norm(group.mul(group.inv(x), y)))
+            self.exact_distance = group.distance
             self.busemann_row = getattr(group, "busemann_row", None)
             self.act_row = getattr(group, "act_row", None)
 

@@ -14,7 +14,9 @@ being vertex-transitive, reads d(z, y) = |z^-1 y| from its memoized ball
 about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann
 table is one distance per ball vertex, except on a graph with a closed-form
 row (``RootedGraph.busemann_row``; free-2 on its standard generators), which
-builds the whole table from the layout of the sorted ball.  :class:`ValueMap`
+builds the whole table from the layout of the sorted ball.  The enumeration
+reads each z of its window on the sphere S_r only, through which every
+geodesic from z enters B_r, and one z per result on B_r.  :class:`ValueMap`
 lookups bisect the sorted domain, and ``cayley.act`` gathers through that
 same lookup, except on free-2 on its standard generators when the map's
 domain is the graph's stored ball B_r: there it reads a slice of the map
@@ -312,23 +314,27 @@ def distance(g: RootedGraph, x: Vertex, y: Vertex,
     return g.metric_from(x, budget, targets=(y,))(y)
 
 
+def _distances(g: RootedGraph, z: Vertex, targets: tuple[Vertex, ...],
+               budget: int) -> list[int]:
+    """[d(z, y) for y in targets]: the closed form called directly (through
+    metric_from's partial the enumeration takes 15-20% longer on ladder3 at
+    r <= 24 and the lattice at r <= 8), or else one metric_from search."""
+    ed = g.exact_distance
+    if ed is not None:
+        return [ed(z, y) for y in targets]
+    d = g.metric_from(z, budget, targets=targets)
+    return [d(y) for y in targets]
+
+
 def _busemann_values(g: RootedGraph, z: Vertex, ball: tuple[Vertex, ...],
                      budget: int) -> tuple[int, tuple[int, ...]]:
     """(d(z, o), the values b_z(y) for y in ball); ball must be sorted and
     contain o."""
     if g.busemann_row is not None:
         return g.busemann_row(z, ball)
-    ed = g.exact_distance
-    if ed is not None:
-        # the closed form is called directly, not through metric_from's
-        # partial: on the standard generators of a family with no row, `horo`
-        # reads one distance per ball vertex for every z of each sphere in
-        # the window, and the partial adds ~15% to that loop (ladder3, r <= 24)
-        base = ed(z, g.basepoint)
-        return base, tuple([ed(z, y) - base for y in ball])
-    d = g.metric_from(z, budget, targets=ball)
-    base = d(g.basepoint)
-    return base, tuple([d(y) - base for y in ball])
+    row = _distances(g, z, ball, budget)
+    base = row[bisect_left(ball, g.basepoint)]
+    return base, tuple([d - base for d in row])
 
 
 # ---------------------------------------------------------------------------
@@ -542,26 +548,36 @@ def enumerate_horofunction_restrictions(
     depth > 2r + window (the recommended regime) it never engages.  The
     result converges to the true limit set for the built-in families as
     depth grows, and every returned map is 1-Lipschitz with value 0 at o.
+
+    Each z is read on the sphere S_r only: depth changes by at most one per
+    edge, so for |z| > r a geodesic from z into B_r enters it through S_r,
+    and b_z(y) is the least b_z(w) + d(w, y) over w in S_r.  So b_z on B_r
+    and the row d(z, w) over S_r, less its least value d(z, o) - r, fix each
+    other; the window intersects these rows, and each survivor is extended.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
+    if r < 1 or window < 0:
+        raise ValueError("need r >= 1 and window >= 0")
     if depth < 2 * r + 1:
         raise ValueError(f"depth must be >= 2r + 1 = {2 * r + 1}")
     lo = max(2 * r + 1, depth - window)
     ld = layer_decomposition(g, depth, budget)
-    ball = ld.ball(r)
-    result: set[ValueMap] | None = None
+    survivors: dict[tuple[int, ...], Vertex] | None = None  # profile -> a z
     for n in range(lo, depth + 1):
         sphere = ld.layers[n]
         if not sphere:
             raise EmptySphere(
                 f"S_{n} is empty: graph is finite, no horofunctions exist")
-        seen = set()
+        profiles = {}
         for z in sphere:
-            seen.add(ValueMap(ball, _busemann_values(g, z, ball, budget)[1],
-                              radius=r))
-        result = seen if result is None else (result & seen)
-    return tuple(sorted(result))
+            row = _distances(g, z, ld.layers[r], budget)
+            m = min(row)
+            profiles.setdefault(tuple([d - m for d in row]), z)
+        survivors = profiles if survivors is None else {
+            p: z for p, z in survivors.items() if p in profiles}
+    ball = ld.ball(r)
+    return tuple(sorted(
+        ValueMap(ball, _busemann_values(g, z, ball, budget)[1], radius=r)
+        for z in survivors.values()))
 
 
 # ---------------------------------------------------------------------------

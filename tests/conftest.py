@@ -51,3 +51,20 @@ def bfs_distance(g, x, y, cap=200_000):
                 q.append(u)
         assert len(depth) < cap, "oracle cap"
     raise AssertionError("disconnected")
+
+
+def bfs_depths(g, x, radius):
+    """Independent BFS over the neighbor oracle only: the distance from x of
+    every vertex within ``radius`` of it."""
+    from collections import deque
+    depth = {x: 0}
+    q = deque([x])
+    while q:
+        v = q.popleft()
+        if depth[v] == radius:
+            continue
+        for u in g.neighbors(v):
+            if u not in depth:
+                depth[u] = depth[v] + 1
+                q.append(u)
+    return depth

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horoscope as h
-from conftest import FAMILY_SPECS, bfs_distance
+from conftest import FAMILY_SPECS, LINEAR_FAMILIES, bfs_depths, bfs_distance
 
 
 def half_line_graph():
@@ -34,12 +34,15 @@ def test_distance_lattice(graphs):
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
 def test_exact_metric_matches_bfs(graphs, family):
+    # the closed form, directly and through distance(), on pairs of B_6 (B_3
+    # on free-2) that include the least and greatest vertices
     g = graphs[family]
-    ball = h.layer_decomposition(g, 3).ball()
+    ball = h.layer_decomposition(g, 3 if family == "free2" else 6).ball()
     rng = random.Random(7)
-    pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(25)]
+    pairs = [(ball[0], ball[-1]), (ball[-1], ball[0])]
+    pairs += [(rng.choice(ball), rng.choice(ball)) for _ in range(40)]
     for x, y in pairs:
-        assert h.distance(g, x, y) == bfs_distance(g, x, y)
+        assert g.exact_distance(x, y) == h.distance(g, x, y) == bfs_distance(g, x, y)
 
 
 def test_distance_budget_exhausted():
@@ -319,9 +322,27 @@ def test_enumerate_count_monotone_in_radius(graphs):
         assert counts == sorted(counts)
 
 
+def test_lattice_enumeration_distance_calls():
+    # the enumeration's work, pinned: every z of a window is read on S_r, and
+    # one z per result on B_r (reading all of B_r for every z took 367,648)
+    g = h.cayley_graph(FAMILY_SPECS["lattice"])
+    exact, calls = g.exact_distance, [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return exact(x, y)
+
+    g.exact_distance = counted
+    for r in range(1, 9):
+        h.enumerate_horofunction_restrictions(g, r, 4 * r, 8)
+    assert calls[0] == 119_616
+
+
 def test_enumerate_rejects_shallow_depth(graphs):
     with pytest.raises(ValueError):
         h.enumerate_horofunction_restrictions(graphs["integers"], 5, 10, 8)
+    with pytest.raises(ValueError):     # a window below zero selects no sphere
+        h.enumerate_horofunction_restrictions(graphs["integers"], 1, 5, -1)
 
 
 def test_enumerate_empty_sphere():
@@ -445,21 +466,45 @@ def test_word_length_oracle_matches_bfs(name):
         assert h.distance(g, x, y) == bfs_distance(g, x, y)
 
 
-def test_custom_enumeration_matches_brute_force():
-    g = h.cayley_graph(CUSTOM_SPECS["lattice-diag"])
-    r, depth, window = 2, 12, 4
+def broken_ladder():
+    """Two rails of 81 vertices, joined by every third rung and every fifth
+    diagonal, rooted mid-way: every sphere up to radius 40 is non-empty."""
+    vs = [(i, t) for i in range(-40, 41) for t in (0, 1)]
+    edges = [[(i, t), (i + 1, t)] for i in range(-40, 40) for t in (0, 1)]
+    edges += [[(i, 0), (i, 1)] for i in range(-40, 41) if i % 3 == 0]
+    edges += [[(i, 0), (i + 1, 1)] for i in range(-40, 40) if i % 5 == 0]
+    return h.explicit_graph(vs, edges, (0, 0), name="broken-ladder")
+
+
+ENUMERATION_CASES = {   # name -> (spec, or None for broken_ladder, r, depth, window)
+    **{name: (FAMILY_SPECS[name], 3, 14, 4) for name in LINEAR_FAMILIES},
+    "lattice": (FAMILY_SPECS["lattice"], 2, 12, 4),
+    "free2": (FAMILY_SPECS["free2"], 2, 6, 1),
+    **{name: (spec, 2, 12, 4) for name, spec in CUSTOM_SPECS.items()},
+    "broken-ladder": (None, 2, 14, 10),   # the window drops one of S_5's profiles
+}
+
+
+@pytest.mark.parametrize("name", list(ENUMERATION_CASES))
+def test_custom_enumeration_matches_brute_force(name):
+    spec, r, depth, window = ENUMERATION_CASES[name]
+    g = broken_ladder() if spec is None else h.cayley_graph(spec)
     got = h.enumerate_horofunction_restrictions(g, r, depth, window)
     ld = h.layer_decomposition(g, depth)
     ball = ld.ball(r)
+    # whole B_r rows, by one BFS from each y of the ball: d(z, y) = d(y, z)
+    far = {y: bfs_depths(g, y, depth + r) for y in ball}
     expected = None
     for n in range(max(2 * r + 1, depth - window), depth + 1):
+        assert ld.layers[n]
         seen = set()
         for z in ld.layers[n]:
-            base = bfs_distance(g, z, g.basepoint)
-            seen.add(tuple(bfs_distance(g, z, y) - base for y in ball))
+            base = far[g.basepoint][z]
+            seen.add(tuple(far[y][z] - base for y in ball))
         expected = seen if expected is None else expected & seen
+    assert expected
     assert sorted(m.values for m in got) == sorted(expected)
-    assert all(m.domain == ball for m in got)
+    assert all(m.domain == ball and m.radius == r for m in got)
 
 
 @pytest.mark.parametrize("name", list(CUSTOM_SPECS))
