@@ -1,18 +1,20 @@
 """Command line front end: reproducible experiments over JSON input specs.
 
-    horoscope growth INPUT.json [--ball R] [--format csv]
-    horoscope horo   INPUT.json [--radius r] [--depth N] [--window W]
-    horoscope cover  INPUT.json
-    horoscope orbit  INPUT.json [--radius r] [--ball R]
-    horoscope reroot INPUT.json [--depth L] [--ball R] [--seed S]
+    horoscope {growth,horo,cover,orbit,reroot} INPUT.json
+        [--radius r] [--depth N] [--window W] [--ball R] [--format json|csv]
+        [--budget B] [--seed S] [--out PATH]
 
-One JSON input file (graph, group, or layered spec, discriminated by
-"kind"); reports go to --out or stdout as JSON (default) or CSV, versioned
-with a "schema": "horoscope/1" field.  Identical configurations produce
+One option set serves all five commands, and each reads the options it
+uses; --ball defaults to 12 for growth and 8 otherwise.  The JSON input
+file (graph, group, or layered spec, discriminated by "kind") is loaded
+once and must build the object its command needs (see ``COMMANDS``).
+Reports go to --out or stdout as JSON (default) or CSV, versioned with a
+"schema": "horoscope/1" field.  Identical configurations produce
 byte-identical reports.
 
-Exit codes: 0 success, 2 usage, 3 malformed spec, 4 budget exhausted,
-5 structural precondition failed, 6 ray errors, 7 invariance violations.
+Exit codes: 0 success, 2 usage, 3 malformed spec (or an unwritable --out),
+4 budget exhausted, 5 structural precondition failed, 6 ray errors,
+7 invariance violations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import argparse
 import random
 import sys
 
-from .cayley import extract_homomorphism, orbit_analysis
+from .cayley import CayleyGraph, extract_homomorphism, orbit_analysis
 from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, RayNotExtendable
 from .graphs import (
     GeodesicRay,
@@ -37,7 +39,6 @@ from .npartite import LayeredGraph, monotone_cover, spanning_intersection_minima
 from .specs import (
     SCHEMA,
     cover_jsonable,
-    graph_from_spec,
     load_spec,
     object_from_spec,
     orbit_jsonable,
@@ -65,14 +66,6 @@ def _enumeration_depth(args: argparse.Namespace, r: int) -> int:
     """--depth, 4r by default, raised to the least depth the sphere-window
     enumeration accepts at radius r, 2r + 1."""
     return max(args.depth if args.depth is not None else 4 * r, 2 * r + 1)
-
-
-def _require_graph(spec) -> RootedGraph:
-    obj = object_from_spec(spec)
-    if isinstance(obj, LayeredGraph):
-        raise MalformedSpec("this command needs a graph or group spec, "
-                            "not a layered graph")
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +105,11 @@ def growth_report(g: RootedGraph, radius: int, budget: int) -> dict:
     }
 
 
-def cmd_growth(args: argparse.Namespace) -> dict:
-    g = _require_graph(load_spec(args.input))
+def cmd_growth(g: RootedGraph, args: argparse.Namespace) -> dict:
     return growth_report(g, args.ball, args.budget)
 
 
-def cmd_horo(args: argparse.Namespace) -> dict:
-    g = _require_graph(load_spec(args.input))
+def cmd_horo(g: RootedGraph, args: argparse.Namespace) -> dict:
     per_radius = []
     counts = []
     for r in range(1, args.radius + 1):
@@ -138,11 +129,7 @@ def cmd_horo(args: argparse.Namespace) -> dict:
     }
 
 
-def cmd_cover(args: argparse.Namespace) -> dict:
-    spec = load_spec(args.input)
-    lg = object_from_spec(spec)
-    if not isinstance(lg, LayeredGraph):
-        raise MalformedSpec("cover needs a layered graph spec")
+def cmd_cover(lg: LayeredGraph, args: argparse.Namespace) -> dict:
     res = monotone_cover(lg)
     report = cover_jsonable(res)
     depths = [10, 20, 40]
@@ -163,11 +150,7 @@ def cmd_cover(args: argparse.Namespace) -> dict:
     return report
 
 
-def cmd_orbit(args: argparse.Namespace) -> dict:
-    spec = load_spec(args.input)
-    if spec.get("kind") != "cayley":
-        raise MalformedSpec("orbit needs a group (cayley) spec")
-    g = graph_from_spec(spec)
+def cmd_orbit(g: CayleyGraph, args: argparse.Namespace) -> dict:
     growth = growth_report(g, max(args.ball, 12), args.budget)
     r_enum = max(args.radius, args.ball + 4)
     depth = _enumeration_depth(args, r_enum)
@@ -187,8 +170,7 @@ def cmd_orbit(args: argparse.Namespace) -> dict:
     return report
 
 
-def cmd_reroot(args: argparse.Namespace) -> dict:
-    g = _require_graph(load_spec(args.input))
+def cmd_reroot(g: RootedGraph, args: argparse.Namespace) -> dict:
     rng = random.Random(args.seed)
     length = args.depth if args.depth is not None else 30
     ball = layer_decomposition(g, args.ball, args.budget).ball()
@@ -223,12 +205,14 @@ def cmd_reroot(args: argparse.Namespace) -> dict:
     }
 
 
+# command -> (its function, the object its spec must build, its purpose)
 COMMANDS = {
-    "growth": cmd_growth,
-    "horo": cmd_horo,
-    "cover": cmd_cover,
-    "orbit": cmd_orbit,
-    "reroot": cmd_reroot,
+    "growth": (cmd_growth, RootedGraph, "sphere census and linear-growth verdict"),
+    "horo": (cmd_horo, RootedGraph, "horofunction restriction counts per radius"),
+    "cover": (cmd_cover, LayeredGraph, "monotone path cover of a layered graph"),
+    "orbit": (cmd_orbit, CayleyGraph, "orbit, stabilizer and homomorphism witness"),
+    "reroot": (cmd_reroot, RootedGraph,
+               "reroot random geodesic prefixes to the basepoint"),
 }
 
 
@@ -285,42 +269,48 @@ def render(command: str, report: dict, fmt: str) -> str:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="horoscope",
-        description="horofunction boundary experiments on graphs of linear growth")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-            ("growth", "sphere census and linear-growth verdict"),
-            ("horo", "horofunction restriction counts per radius"),
-            ("cover", "monotone path cover of a layered graph"),
-            ("orbit", "orbit, stabilizer and homomorphism witness"),
-            ("reroot", "reroot random geodesic prefixes to the basepoint")]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("input", help="JSON spec file")
-        p.add_argument("--radius", type=int, default=8)
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--window", type=int, default=8)
-        p.add_argument("--ball", type=int,
-                       default=12 if name == "growth" else 8)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--budget", type=int, default=1_000_000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None)
+        description="horofunction boundary experiments on graphs of linear growth",
+        epilog="commands:\n" + "\n".join(
+            f"  {name:<8}{purpose}" for name, (_, _, purpose) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("input", help="JSON spec file")
+    parser.add_argument("--radius", type=int, default=8)
+    parser.add_argument("--depth", type=int, default=None)
+    parser.add_argument("--window", type=int, default=8)
+    parser.add_argument("--ball", type=int, default=None,
+                        help="default 12 for growth, 8 otherwise")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--budget", type=int, default=1_000_000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, needs, _ = COMMANDS[args.command]
+    if args.ball is None:
+        args.ball = 12 if args.command == "growth" else 8
     try:
         validate(args)
-        report = COMMANDS[args.command](args)
-        text = render(args.command, report, args.format)
+        spec = load_spec(args.input)
+        obj = object_from_spec(spec)
+        if not isinstance(obj, needs):
+            raise MalformedSpec(f"spec kind {spec['kind']!r} builds a "
+                                f"{type(obj).__name__}, not a {needs.__name__}")
+        text = render(args.command, run(obj, args), args.format)
+        if args.out:
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise MalformedSpec(f"cannot write {args.out}: {exc.strerror}") from exc
+        else:
+            sys.stdout.write(text)
     except HoroscopeError as exc:
         print(f"horoscope {args.command}: {exc}", file=sys.stderr)
         return exc.exit_code
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -79,7 +79,7 @@ def load_spec(path: str) -> dict:
             spec = json.load(fh)
     except OSError as exc:
         raise MalformedSpec(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedSpec(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict) or "kind" not in spec:
         raise MalformedSpec(f'{path} must hold an object with a "kind" field')

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoscope as h
-from horoscope.cli import main
+from horoscope.cli import build_parser, main
 from horoscope.specs import graph_from_spec, load_spec, object_from_spec, to_json
 
 
@@ -20,6 +20,8 @@ def write_spec(tmp_path, name, payload):
 Z_SPEC = {"kind": "cayley", "family": "integers"}
 LATTICE_SPEC = {"kind": "cayley", "family": "integer-lattice-2d"}
 DIHEDRAL_SPEC = {"kind": "cayley", "family": "infinite-dihedral"}
+EDGE_SPEC = {"kind": "explicit", "vertices": [0, 1], "edges": [[0, 1]],
+             "basepoint": 0}
 HALL_SPEC = {"kind": "layered",
              "period": {"layers": [["a", "b"]], "edges": []},
              "wrap": [["a", "a"], ["b", "a"]]}
@@ -68,6 +70,10 @@ def test_load_spec_errors(tmp_path):
     nokind.write_text("{}")
     with pytest.raises(h.MalformedSpec):
         load_spec(str(nokind))
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe{"kind": 1}')
+    with pytest.raises(h.MalformedSpec):
+        load_spec(str(not_utf8))
 
 
 # ---------------------------------------------------------------- CLI runs
@@ -222,6 +228,8 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     z = write_spec(tmp_path, "z.json", Z_SPEC)
     assert main(["cover", z]) == 3                      # wrong kind
     assert main(["growth", z, "--budget", "-1"]) == 3   # bad flag value
+    assert main(["growth", z, "--out", str(tmp_path / "no-dir" / "r.json")]) == 3
+    assert main(["growth", z, "--out", str(tmp_path)]) == 3  # --out is a directory
     hall = write_spec(tmp_path, "hall.json", HALL_SPEC)
     assert main(["horo", hall]) == 3                    # layered where graph needed
     free2 = write_spec(tmp_path, "f.json", {"kind": "cayley", "family": "free-2"})
@@ -253,11 +261,25 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {**HALL_SPEC, "wrap": 5}),
             ("cover", {"kind": "layered", "layers": [["a", 1]], "edges": []}),
             ("cover", {"kind": "layered", "period": {"layers": [["a", 1]]}}),
-            ("growth", {**DIHEDRAL_SPEC, "generators": [[0, 1.0], [1, 1]]})]:
+            ("growth", {**DIHEDRAL_SPEC, "generators": [[0, 1.0], [1, 1]]}),
+            # each command on each spec kind it refuses
+            ("growth", HALL_SPEC), ("reroot", HALL_SPEC),
+            ("orbit", EDGE_SPEC), ("orbit", HALL_SPEC), ("cover", EDGE_SPEC)]:
         assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
+
+
+def test_cli_help_names_each_command():
+    text = build_parser().format_help()
+    for name, purpose in [
+            ("growth", "sphere census and linear-growth verdict"),
+            ("horo", "horofunction restriction counts per radius"),
+            ("cover", "monotone path cover of a layered graph"),
+            ("orbit", "orbit, stabilizer and homomorphism witness"),
+            ("reroot", "reroot random geodesic prefixes to the basepoint")]:
+        assert f"  {name:<8}{purpose}\n" in text
 
 
 # ---------------------------------------------------------------- report bytes
@@ -314,6 +336,10 @@ GOLDEN_REPORTS = [
         DIHEDRAL_SPEC, ["orbit"],
         "f85530406e32abbe4b8a8f8233e68f060596f61844c1f83a5ef45da9bee5a77c",
         id="orbit-dihedral"),
+    pytest.param(
+        Z_SPEC, ["reroot", "--depth", "10"],
+        "1de5af48f9832dfce140aae9b9227f9fd6296b13ef607227fd1e77f05aeb70ea",
+        id="reroot-integers-default-ball"),
     pytest.param(
         LADDER_SPEC, ["reroot", "--depth", "10", "--ball", "4"],
         "d331c74b1cdef04ca1c3d5260c1c63144ffba389b6593e14c8a8a12c9610e6ed",
