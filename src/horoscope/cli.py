@@ -24,7 +24,7 @@ import random
 import sys
 
 from .cayley import CayleyGraph, extract_homomorphism, orbit_analysis
-from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, RayNotExtendable
+from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, PrefixTooShort, RayNotExtendable
 from .graphs import (
     GeodesicRay,
     RootedGraph,
@@ -181,10 +181,13 @@ def cmd_reroot(g: RootedGraph, args: argparse.Namespace) -> dict:
         prefix = GeodesicRay((start,), lambda _g, _vs, cands: rng.choice(cands))
         try:
             ray = extend_ray(g, prefix, length, args.budget)
+            n0, rerooted = reroot_ray(g, ray, args.budget)
         except RayNotExtendable:
             results.append({"start": start, "skipped": True})
             continue
-        n0, rerooted = reroot_ray(g, ray, args.budget)
+        except PrefixTooShort:
+            results.append({"start": start, "unsettled": True})
+            continue
         dist_o = g.metric_from(g.basepoint, args.budget, targets=rerooted.vertices)
         geodesic_ok = all(dist_o(v) == i for i, v in enumerate(rerooted.vertices))
         agrees = rerooted.vertices[-(length - n0 + 1):] == ray.vertices[n0:] \
@@ -195,7 +198,7 @@ def cmd_reroot(g: RootedGraph, args: argparse.Namespace) -> dict:
             "geodesic_ok": geodesic_ok,
             "agrees_from_N": bool(agrees),
         })
-    done = [x for x in results if not x.get("skipped")]
+    done = [x for x in results if "N" in x]     # neither skipped nor unsettled
     return {
         "prefix_length": length,
         "count": count,
@@ -249,10 +252,10 @@ def _csv_rows(command: str, report: dict):
     elif command == "reroot":
         yield ("index", "N", "geodesic_ok", "agrees_from_N")
         for i, row in enumerate(report["results"]):
-            if row.get("skipped"):
-                yield (i, "skipped", "", "")
-            else:
+            if "N" in row:
                 yield (i, row["N"], row["geodesic_ok"], row["agrees_from_N"])
+            else:
+                yield (i, "skipped" if row.get("skipped") else "unsettled", "", "")
     else:  # pragma: no cover
         raise AssertionError(command)
 

@@ -38,11 +38,15 @@ def maximum_matching(left, adjacency) -> dict:
     Kuhn's depth-first search from each left vertex in sorted order, run on
     an explicit stack of [u, neighbor iterator, chosen v] frames, so that
     augmenting paths may be longer than Python's recursion limit.
+    ``seen`` is cleared only after an augmentation: a failed search leaves
+    the matching unchanged, so the right vertices it visited still reach no
+    free vertex, and a later search entering one could only fail there.
+    Skipping them keeps the order of the live tries, hence the matching.
     """
     match_left: dict = {}
     match_right: dict = {}
+    seen: set = set()
     for root in sorted(left):
-        seen = set()
         stack = [[root, iter(adjacency.get(root, ())), None]]
         while stack:
             frame = stack[-1]
@@ -61,6 +65,7 @@ def maximum_matching(left, adjacency) -> dict:
             for u, _, w in reversed(stack):    # flip the path, innermost first
                 match_left[u] = w
                 match_right[w] = u
+            seen = set()
             break
     return match_left
 

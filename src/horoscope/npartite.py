@@ -742,9 +742,15 @@ def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     return tuple(out)
 
 
-def _expand_path(parent: LayeredGraph, selection, path: MonotonePath) -> MonotonePath:
+def _expand_path(parent: LayeredGraph, selection, path: MonotonePath,
+                 segments: dict | None = None) -> MonotonePath:
     """Lift a path through ``monotone_reachability(parent, selection)``: each
-    reduced edge becomes its least realizing monotone segment in the parent."""
+    reduced edge becomes its least realizing monotone segment in the parent.
+    Paths lifted through one (parent, selection) may share the ``segments``
+    memo.  A segment (layer i, u) -> (layer j, v) reads only layers i .. j,
+    so (stored index of i, j - i, u, v) fixes it: the stored index is i's
+    phase past a periodic prefix, and i itself everywhere else."""
+    segments = {} if segments is None else segments
     if isinstance(selection, Stride):
         to_parent = lambda t: selection.start + t * selection.stride
     else:
@@ -755,8 +761,11 @@ def _expand_path(parent: LayeredGraph, selection, path: MonotonePath) -> Monoton
         without its last name."""
         names = []
         for t in range(t0, t0 + steps):
-            names += _least_segment(parent, to_parent(t), path.name_at(t),
-                                    to_parent(t + 1), path.name_at(t + 1))[:-1]
+            i, j, u, v = to_parent(t), to_parent(t + 1), path.name_at(t), path.name_at(t + 1)
+            key = (parent._stored(i, len(parent.layers)), j - i, u, v)
+            if key not in segments:
+                segments[key] = _least_segment(parent, i, u, j, v)[:-1]
+            names += segments[key]
         return tuple(names)
 
     start = to_parent(path.start)
@@ -839,7 +848,8 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     g1 = g0 if sel is None else monotone_reachability(g0, sel)
     paths1, trace = _cover_uniform(g1)
     if sel is not None:
-        paths1 = [_expand_path(g0, sel, q) for q in paths1]
+        segments: dict = {}
+        paths1 = [_expand_path(g0, sel, q, segments) for q in paths1]
     paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
     return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
                        approximate=pr.approximate)
@@ -878,7 +888,8 @@ def _cover_uniform(g: LayeredGraph):
     if not isinstance(sel, HallFailureWitness):
         pn = partition_by_matchings(monotone_reachability(g, sel))
         selection = ("stride", *sel) if isinstance(sel, Stride) else ("layers", sel)
-        return ([_expand_path(g, sel, q) for q in pn],
+        segments: dict = {}
+        return ([_expand_path(g, sel, q, segments) for q in pn],
                 TraceNode(kind="match", k=k, selection=selection))
 
     witness = sel
@@ -910,7 +921,8 @@ def _cover_uniform(g: LayeredGraph):
         pad_paths = [_greedy_walk(gm.forward_map(0), u) for u in padded]
     else:
         pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
-    paths = [_expand_path(g, sel, q) for q in paths_a + paths_b + pad_paths]
+    segments = {}
+    paths = [_expand_path(g, sel, q, segments) for q in paths_a + paths_b + pad_paths]
     trace = TraceNode(kind="split", k=k, witness=witness, v=witness.sizes[1],
                       w=k - witness.sizes[1], children=(trace_a, trace_b),
                       padded=padded)
@@ -925,11 +937,13 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     """For each depth D: the minimum over all monotone paths spanning layers
     0..D of the unfolding of max_j |path ∩ paths[j]|.
 
-    Dynamic program over (vertex, intersection count vector) states, with
-    the counts packed into one int, a field per path.  A count is at most
-    the number of layers, D + 1, so the field width is sized from the
-    deepest D (8 bits while D < 255); Python ints bound neither the width
-    nor the number of paths.
+    Dynamic program over (vertex, intersection count vector) states, grouped
+    by vertex as {name: set of count vectors}; a step adds a successor's hit
+    mask to a whole group, and no state is pruned.  The counts are packed
+    into one int, a field per path.  A count is at most the number of
+    layers, D + 1, so the field width is sized from the deepest D (8 bits
+    while D < 255); Python ints bound neither the width nor the number of
+    paths.
     Returns {D: minimum} with None when no spanning path reaches depth D.
     """
     depths = sorted(depths)
@@ -951,15 +965,16 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
 
     def score(states):
         best = None
-        for (_, packed) in states:
-            top_count = max((packed >> (width * j)) & field_mask
-                            for j in range(len(paths)))
-            best = top_count if best is None else min(best, top_count)
+        for packs in states.values():
+            for packed in packs:
+                top_count = max((packed >> (width * j)) & field_mask
+                                for j in range(len(paths)))
+                best = top_count if best is None else min(best, top_count)
         return best
 
     minima = {}
     masks = hit_masks(0)
-    states = {(a, masks.get(a, 0)) for a in lg.layer(0)}
+    states = {a: {masks.get(a, 0)} for a in lg.layer(0)}
     for i in range(top + 1):
         if i in depths:
             minima[i] = score(states)
@@ -967,10 +982,11 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
             break
         succ = lg.forward_map(i)
         masks = hit_masks(i + 1)
-        nxt = set()
-        for (a, packed) in states:
+        nxt: dict = {}
+        for a, packs in states.items():
             for bb in succ[a]:
-                nxt.add((bb, packed + masks.get(bb, 0)))
+                m = masks.get(bb, 0)
+                nxt.setdefault(bb, set()).update([p + m for p in packs] if m else packs)
         states = nxt
         if not states:
             for dd in depths:

@@ -14,7 +14,8 @@ def brute_minimum(lg, paths, depth):
     """Oracle for the packed-count DP: enumerate every spanning path."""
     best = None
     for names in enumerate_spanning_paths(lg, depth):
-        top = max(sum(1 for i, nm in enumerate(names) if q.name_at(i) == nm)
+        top = max(sum(1 for i, nm in enumerate(names)
+                      if q.covers(i) and q.name_at(i) == nm)
                   for q in paths)
         best = top if best is None else min(best, top)
     return best
@@ -163,6 +164,78 @@ def test_expand_path_realigns_short_cycles():
     assert len(lifted.cycle) == 2
     lifted.validate(lg, depth=24)
     assert all(lifted.name_at(i) == "a" for i in range(24))
+
+
+def random_prefixed_periodic(seed):
+    """Seeded periodic graph: k = 2-4, period 1-3, behind a prefix of 0-2
+    layers of 1-4 names drawn from the same pool; the sizes vary, so pruning
+    may select a stride."""
+    rng = random.Random(seed)
+    k, period = rng.randint(2, 4), rng.randint(1, 3)
+    names = [f"v{i}" for i in range(k)]
+    prefix = [names[:1] + [f"v{i}" for i in range(1, rng.randint(1, 4))]
+              for _ in range(rng.randint(0, 2))]
+    layers = prefix + [names] * period + [names]      # the wrap ends in block layer 0
+
+    def step(src, dst):
+        pairs = {(a, rng.choice(dst)) for a in src}
+        pairs |= {(rng.choice(src), rng.choice(dst)) for _ in range(rng.randrange(0, k + 1))}
+        return sorted(pairs)
+
+    steps = [step(a, b) for a, b in zip(layers, layers[1:])]
+    p = len(prefix)
+    return h.LayeredGraph.periodic(
+        [names] * period, steps[p:-1], steps[-1], prefix,
+        steps[:max(p - 1, 0)], steps[p - 1] if p else None)
+
+
+def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
+    # the cover shares one segment memo across the paths it lifts through
+    # one (parent, selection); a fresh memo per path must give the same lift
+    from horoscope import npartite
+
+    real = npartite._expand_path
+    calls = []
+
+    def recording(parent, selection, path, segments=None):
+        lifted = real(parent, selection, path, segments)
+        calls.append((parent, selection, path, id(segments), lifted))
+        return lifted
+
+    monkeypatch.setattr(npartite, "_expand_path", recording)
+    graphs = [lg for _, lg in corpus.corpus(0)]
+    graphs += [random_prefixed_periodic(seed) for seed in range(200)]
+    graphs += [random_truncation(seed) for seed in range(100)]
+    for lg in graphs:
+        try:
+            h.monotone_cover(lg)
+        except h.HoroscopeError:
+            pass
+    for parent, selection, path, _, lifted in calls:
+        assert real(parent, selection, path) == lifted
+    assert any(isinstance(sel, tuple) for _, sel, *_ in calls)
+    assert any(parent.num_prefix for parent, *_ in calls)
+    assert len(calls) > 2 * len({memo for *_, memo, _ in calls})
+    # random walks along strides the cover never picks: their segments
+    # start in every phase, and from layer 0 inside the prefix
+    rng = random.Random(5)
+    for seed in range(50):
+        lg = random_prefixed_periodic(seed)
+        for sel in (h.Stride(0, 3), h.Stride(1, 2)):
+            reduced = h.monotone_reachability(lg, sel)
+            shared: dict = {}
+            for _ in range(5):
+                walk = [rng.choice(reduced.layer(0))]
+                for t in range(8):
+                    nxt = sorted(reduced.forward_map(t)[walk[-1]])
+                    if not nxt:
+                        break
+                    walk.append(rng.choice(nxt))
+                q = h.MonotonePath(0, tuple(walk))
+                lifted = real(lg, sel, q, shared)
+                assert lifted == real(lg, sel, q)
+                for t, name in enumerate(walk):
+                    assert lifted.name_at(sel.start + t * sel.stride) == name
 
 
 def test_cover_propagates_empty():
@@ -339,6 +412,60 @@ def test_intersection_minima_count_a_name_none():
         return h.spanning_intersection_minima(lg, h.monotone_cover(lg).paths)
 
     assert one_spine(None) == one_spine("a") == {10: 11, 20: 21, 40: 41}
+
+
+def test_grouped_dp_matches_brute_force():
+    # the per-vertex state groups keep every state: minima at each depth
+    # equal brute-force enumeration on small graphs (k <= 3, depth <= 7)
+    rng = random.Random(12)
+    compared = 0
+    for seed in range(200):
+        k = rng.randint(1, 3)
+        if seed % 2:
+            lg, depth = corpus.random_periodic(seed, k=k, period=rng.randint(1, 3)), 7
+        else:
+            depth = rng.randint(1, 7)
+            names = [f"v{i}" for i in range(k)]
+            steps = [sorted({(rng.choice(names), rng.choice(names))
+                             for _ in range(rng.randint(k, 2 * k))}) for _ in range(depth)]
+            lg = h.LayeredGraph.truncation([names] * (depth + 1), steps)
+        try:
+            paths = list(h.monotone_cover(lg).paths)
+        except h.HoroscopeError:
+            continue
+        if seed % 3 == 0 and len(paths) > 1:
+            paths = paths[1:]        # a dropped cover path lets the minima vary
+        depths = range(depth + 1)
+        assert h.spanning_intersection_minima(lg, paths, depths) == \
+            {d: brute_minimum(lg, paths, d) for d in depths}, seed
+        compared += 1
+    assert compared > 150
+
+    # spanning paths die out after layer 3: the deeper minima are None
+    ab = ["a", "b"]
+    lg = h.LayeredGraph.truncation([ab] * 6, [[("a", "a"), ("b", "b")],
+                                              [("a", "b"), ("b", "a")],
+                                              [("a", "a")], [], [("a", "a")]])
+    paths = [h.MonotonePath(0, ("a", "a", "b", "b")), h.MonotonePath(1, ("b",))]
+    expected = {d: brute_minimum(lg, paths, d) for d in range(6)}
+    assert expected[3] == 1 and expected[4] is expected[5] is None
+    assert h.spanning_intersection_minima(lg, paths, range(6)) == expected
+
+    # a path named None at every other layer, beside a finite one that
+    # leaves layers uncovered (where name_at also reads None)
+    into, out_of = [("a", None), ("b", None)], [(None, "a"), (None, "b")]
+    lg = h.LayeredGraph.truncation([ab, [None]] * 3, [into, out_of] * 2 + [into])
+    paths = [h.MonotonePath(0, ("a", None, "b", None, "a", None)),
+             h.MonotonePath(1, (None, "b"))]
+    assert h.spanning_intersection_minima(lg, paths, range(6)) == \
+        {d: brute_minimum(lg, paths, d) for d in range(6)}
+
+    # past 255 layers the packed field widens
+    for lg in (corpus.two_spine(), corpus.hall_funnel(), corpus.prefix_feeder()):
+        paths = h.monotone_cover(lg).paths
+        depths = (254, 255, 256, 300)
+        assert h.spanning_intersection_minima(lg, paths, depths) == \
+            {d: brute_minimum(lg, paths, d) for d in depths}
 
 
 # ---------------------------------------------------------------- golden digest

@@ -105,6 +105,94 @@ def test_same_matching_as_recursive_search():
         assert maximum_matching(range(n), adj) == recursive_kuhn(range(n), adj)
 
 
+def violator_from(left, adjacency, match_left):
+    """Reference Hall certificate from a maximum matching, as a fixed point:
+    Y starts at the least unmatched left vertex and takes in the partner of
+    every right vertex Y sees, until it stops growing."""
+    match_right = {v: u for u, v in match_left.items()}
+    start = min(u for u in left if u not in match_left)
+    ys, grown = set(), {start}
+    while grown != ys:
+        ys = grown
+        nbhd = {v for u in ys for v in adjacency[u]}
+        grown = {start} | {match_right[v] for v in nbhd}
+    return HallViolator(tuple(sorted(ys)), tuple(sorted(nbhd)))
+
+
+def large_cover_spec(rng, k):
+    """One-period layered spec drawn as the benchmark draws its large covers:
+    every name keeps a forward edge, then k more random edges."""
+    names = [f"v{i}" for i in range(k)]
+    pairs = {(a, rng.choice(names)) for a in names}
+    for _ in range(rng.randint(k, k)):      # the benchmark draws the count
+        pairs.add((rng.choice(names), rng.choice(names)))
+    return {"kind": "layered", "period": {"layers": [names], "edges": []},
+            "wrap": [list(e) for e in sorted(pairs)]}
+
+
+def funnel_rows(rng, n):
+    """Adjacency in which a funnel of left vertices shares a few right ones
+    (Hall-deficient), beside rows of random density; rows are unsorted."""
+    funnel = rng.sample(range(n), rng.randint(2, n))
+    narrow = rng.sample(range(n), rng.randint(1, max(1, len(funnel) // 3)))
+    adj = {}
+    for u in range(n):
+        row = narrow if u in funnel else range(n)
+        adj[u] = rng.sample(list(row), rng.randint(0, len(row)))
+    return adj
+
+
+def cover_powers(monkeypatch, lg):
+    """(left, adjacency) of every matching the cover of lg asks for, which
+    on periodic graphs are the boolean powers ``_stride_analysis`` builds."""
+    from horoscope import npartite
+
+    seen = []
+
+    def recording(left, right, adjacency):
+        seen.append((list(left), {u: sorted(vs) for u, vs in adjacency.items()}))
+        return matching_or_violator(left, right, adjacency)
+
+    monkeypatch.setattr(npartite, "matching_or_violator", recording)
+    npartite.monotone_cover(lg)
+    monkeypatch.undo()
+    return seen
+
+
+def test_same_matching_as_recursive_search_when_roots_fail(monkeypatch):
+    # the kept dead set only changes anything after a root fails, so draw
+    # graphs where many do: funnels, dense rows, and the benchmark's powers
+    from horoscope.npartite import build_layered
+
+    rng = random.Random(16)
+    cases = []
+    for _ in range(200):
+        n = rng.randint(2, 40)
+        cases.append((list(range(n)), funnel_rows(rng, n)))
+        rows = {u: rng.sample(range(n), rng.randint(n // 2, n)) for u in range(n)}
+        cases.append((list(range(n)), rows))
+    specs = [large_cover_spec(random.Random("k60/7"), 60)]      # k60_cover
+    specs += [large_cover_spec(random.Random(seed), 36) for seed in (1, 2)]
+    for spec in specs:
+        cases += cover_powers(monkeypatch, build_layered(spec))
+    failed_roots = 0
+    for left, adj in cases:
+        expected = recursive_kuhn(left, adj)
+        assert maximum_matching(left, adj) == expected
+        failed_roots += len(left) - len(expected)
+        # matching_or_violator searches the rows in sorted order
+        rows = {u: sorted(set(vs)) for u, vs in adj.items()}
+        expected = recursive_kuhn(left, rows)
+        res = matching_or_violator(left, left, adj)
+        if len(expected) == len(left):
+            assert res == Matching(tuple(sorted(expected.items())))
+        else:
+            reference = violator_from(left, rows, expected)
+            assert res.subset == reference.subset
+            assert res.neighborhood == reference.neighborhood
+    assert failed_roots > 1000
+
+
 def test_long_augmenting_paths_do_not_recurse():
     # left i sees i-1 and i: matching i takes i-1 first, and each new left
     # vertex then augments along a path through every earlier one

@@ -20,6 +20,7 @@ def write_spec(tmp_path, name, payload):
 Z_SPEC = {"kind": "cayley", "family": "integers"}
 LATTICE_SPEC = {"kind": "cayley", "family": "integer-lattice-2d"}
 DIHEDRAL_SPEC = {"kind": "cayley", "family": "infinite-dihedral"}
+D3_SPEC = {**DIHEDRAL_SPEC, "generators": [[0, 1], [1, 1], [2, 1]]}
 EDGE_SPEC = {"kind": "explicit", "vertices": [0, 1], "edges": [[0, 1]],
              "basepoint": 0}
 HALL_SPEC = {"kind": "layered",
@@ -177,6 +178,22 @@ def test_cli_reroot(tmp_path, capsys):
     assert report["count"] == 100
 
 
+def test_cli_reroot_unsettled_prefix_is_one_row(tmp_path, capsys):
+    path = write_spec(tmp_path, "d3.json", D3_SPEC)
+    args = ("reroot", path, "--depth", "10", "--ball", "4")
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    report = json.loads(out)
+    unsettled = [i for i, row in enumerate(report["results"]) if row.get("unsettled")]
+    assert len(unsettled) == 1
+    assert set(report["results"][unsettled[0]]) == {"start", "unsettled"}
+    assert sum("N" in row for row in report["results"]) == 99
+    assert report["all_ok"] is True
+    code, out = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert f"{unsettled[0]},unsettled,," in out.splitlines()
+
+
 def test_cli_horo_explicit_depth(tmp_path, capsys):
     path = write_spec(tmp_path, "z.json", Z_SPEC)
     code, out = run_cli(capsys, "horo", path, "--radius", "3", "--depth", "30")
@@ -246,6 +263,10 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
         "kind": "layered", "period": {"layers": [names], "edges": []},
         "wrap": [list(e) for e in wrap]})
     assert main(["cover", funnel]) == 4
+    # one of 100 prefixes never settles: that row is marked, the command
+    # still answers (it exited 6 on the first PrefixTooShort)
+    d3 = write_spec(tmp_path, "d3.json", D3_SPEC)
+    assert main(["reroot", d3, "--depth", "10", "--ball", "4"]) == 0
     # malformed spec shapes: exit 3, not a raw TypeError or AttributeError
     for command, spec in [
             ("growth", {**Z_SPEC, "generators": 5}),
