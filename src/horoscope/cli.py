@@ -26,6 +26,7 @@ import sys
 from .cayley import CayleyGraph, extract_homomorphism, orbit_analysis
 from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, PrefixTooShort, RayNotExtendable
 from .graphs import (
+    RECURRENCE_THRESHOLD,
     GeodesicRay,
     RootedGraph,
     distance,  # noqa: F401  (perfbench's tracer test reads cli.distance)
@@ -47,7 +48,6 @@ from .specs import (
     witness_hom_jsonable,
 )
 
-RECURRENCE_THRESHOLD = 5   # sphere-size recurrences needed for a linear verdict
 LINEAR_TOLERANCE = 2       # |B_R| <= tolerance * k * R for linear candidates
 
 
@@ -88,7 +88,7 @@ def growth_report(g: RootedGraph, radius: int, budget: int) -> dict:
     for s in sizes:
         total += s
         ball_sizes.append(total)
-    k = recurring_sphere_size(sizes, RECURRENCE_THRESHOLD)
+    k = recurring_sphere_size(sizes)
     linear = (k is not None and r_eff >= 1
               and ball_sizes[-1] <= LINEAR_TOLERANCE * k * r_eff)
     return {

@@ -298,11 +298,15 @@ def layer_decomposition(g: RootedGraph, radius: int,
     return LayerDecomposition(g, radius)
 
 
-def recurring_sphere_size(sizes: Sequence[int], times: int) -> int | None:
-    """The least size among |S_1|, |S_2|, ... that occurs at least ``times``
-    times, or None; ``sizes`` lists |S_0|, |S_1|, ..."""
+RECURRENCE_THRESHOLD = 5   # sphere-size recurrences needed for a linear verdict
+
+
+def recurring_sphere_size(sizes: Sequence[int]) -> int | None:
+    """The least size among |S_1|, |S_2|, ... that occurs at least
+    RECURRENCE_THRESHOLD times, or None; ``sizes`` lists |S_0|, |S_1|, ..."""
     counts = Counter(sizes[1:])
-    return min((s for s, c in counts.items() if c >= times), default=None)
+    return min((s for s, c in counts.items() if c >= RECURRENCE_THRESHOLD),
+               default=None)
 
 
 def distance(g: RootedGraph, x: Vertex, y: Vertex,
@@ -619,7 +623,7 @@ def reroot_ray(g: RootedGraph, ray: GeodesicRay,
 
 
 # ---------------------------------------------------------------------------
-# explicit finite graphs (test fixtures)
+# explicit finite graphs (the "explicit" spec kind)
 
 
 def explicit_graph(vertices: Sequence[Vertex], edges: Sequence[Sequence[Vertex]],

@@ -34,10 +34,12 @@ Hall-failure split into a funnel part and its complement when they do not.
 One recursion, ``_cover_uniform``, serves both modes.  It asks
 ``_matching_selection`` for a layer selection with matchings at every
 consecutive pair (a Stride, or a tuple of truncation layers) or for the Hall
-witness; that decision matches every layer pair it tries once, through
+witness.  The decision matches each layer pair it tries once, through
 ``_stride_analysis`` on periodic graphs and ``_truncation_witness`` on
-truncations, which ``find_hall_failure`` reads as well.  The modes differ
-only where the input's shape decides: the split selection, how a part is
+truncations, which ``find_hall_failure`` reads as well; the matching
+branch then matches its chosen pairs a second time, when
+``partition_by_matchings`` walks the reduction.  The modes differ only
+where the input's shape decides: the split selection, how a part is
 covered, and the walk that pads a name.
 """
 
@@ -64,6 +66,7 @@ from .errors import (
 )
 from .graphs import (
     DEFAULT_BUDGET,
+    RECURRENCE_THRESHOLD,
     GeodesicRay,
     RootedGraph,
     canonical_geodesic,
@@ -422,7 +425,6 @@ class PruneResult:
     graph: LayeredGraph
     selection: Any
     approximate: bool
-    dropped: tuple
 
 
 def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
@@ -433,11 +435,6 @@ def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
     steps = tuple({a: succ[a] & ends[s + 1] for a in layers[s]}
                   for s, succ in enumerate(lg.steps))
     return LayeredGraph(layers, steps, lg.period_length, lg.layer_tags)
-
-
-def _dropped(lg: LayeredGraph, keep) -> tuple:
-    return tuple(sorted((i, a) for i, kept in enumerate(keep)
-                        for a in lg.layer(i) if a not in kept))
 
 
 def prune_to_spanning(lg: LayeredGraph) -> PruneResult:
@@ -479,8 +476,7 @@ def _prune_periodic(lg: LayeredGraph) -> PruneResult:
     else:
         j_star = min(range(b), key=lambda j: (period_sizes[j], j))
         selection = Stride(p + j_star, b)
-    return PruneResult(_restricted(lg, keep), selection, approximate=False,
-                       dropped=_dropped(lg, keep))
+    return PruneResult(_restricted(lg, keep), selection, approximate=False)
 
 
 def _prune_truncation(lg: LayeredGraph) -> PruneResult:
@@ -499,8 +495,7 @@ def _prune_truncation(lg: LayeredGraph) -> PruneResult:
     else:
         smallest = min(sizes)
         selection = tuple(i for i in range(d) if sizes[i] == smallest)
-    return PruneResult(_restricted(lg, keep), selection, approximate=True,
-                       dropped=_dropped(lg, keep))
+    return PruneResult(_restricted(lg, keep), selection, approximate=True)
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +567,6 @@ class HallFailureWitness:
     U: tuple[Name, ...]
     V: tuple[tuple[int, tuple[Name, ...]], ...]
     sizes: tuple[int, int]
-
-    def v_at(self, m: int) -> tuple[Name, ...]:
-        return dict(self.V)[m]
 
 
 _POWER_CAP = 4096  # powers tried per phase before giving up with BudgetExhausted
@@ -743,14 +735,13 @@ def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
 
 
 def _expand_path(parent: LayeredGraph, selection, path: MonotonePath,
-                 segments: dict | None = None) -> MonotonePath:
+                 segments: dict) -> MonotonePath:
     """Lift a path through ``monotone_reachability(parent, selection)``: each
     reduced edge becomes its least realizing monotone segment in the parent.
-    Paths lifted through one (parent, selection) may share the ``segments``
+    Paths lifted through one (parent, selection) share the ``segments``
     memo.  A segment (layer i, u) -> (layer j, v) reads only layers i .. j,
     so (stored index of i, j - i, u, v) fixes it: the stored index is i's
     phase past a periodic prefix, and i itself everywhere else."""
-    segments = {} if segments is None else segments
     if isinstance(selection, Stride):
         to_parent = lambda t: selection.start + t * selection.stride
     else:
@@ -996,22 +987,11 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     return minima
 
 
-def enumerate_spanning_paths(lg: LayeredGraph, depth: int):
-    """All monotone paths spanning layers 0..depth, as name tuples.  Only for
-    small fixtures; the DP above scales, this exists as its oracle."""
-    partial = [[a] for a in lg.layer(0)]
-    for i in range(depth):
-        succ = lg.forward_map(i)
-        partial = [p + [bb] for p in partial for bb in sorted(succ[p[-1]])]
-    return [tuple(p) for p in partial]
-
-
 # ---------------------------------------------------------------------------
 # sphere quotients of rooted graphs
 
 
 def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
-                    recurrences: int = 5,
                     budget: int = DEFAULT_BUDGET) -> LayeredGraph:
     """Layered graph on equal-size spheres of a rooted graph.
 
@@ -1019,20 +999,20 @@ def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
     exactly when d(x, x') equals the radius gap, which happens exactly when
     some path of that length joins them.  When ``radii`` is omitted, the
     spheres are located from a census up to ``bound``: the layer size is the
-    smallest sphere size occurring at least ``recurrences`` times, and the
-    selected radii are all of its occurrences.  The sphere radii are kept in
-    ``layer_tags``.
+    smallest sphere size occurring at least RECURRENCE_THRESHOLD times, and
+    the selected radii are all of its occurrences.  The sphere radii are
+    kept in ``layer_tags``.
     """
     if radii is None:
         if bound is None:
             raise ValueError("need either radii or a census bound")
         ld = layer_decomposition(g, bound, budget)
         sizes = ld.sphere_sizes
-        k = recurring_sphere_size(sizes, recurrences)
+        k = recurring_sphere_size(sizes)
         if k is None:
             raise NoConstantSubsequence(
-                f"no sphere size recurs {recurrences} times up to radius {bound} "
-                "(superlinear growth, or the bound is too small)")
+                f"no sphere size recurs {RECURRENCE_THRESHOLD} times up to "
+                f"radius {bound} (superlinear growth, or the bound is too small)")
         radii = tuple(r for r in range(1, bound + 1) if sizes[r] == k)
     else:
         radii = tuple(radii)

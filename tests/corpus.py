@@ -1,4 +1,5 @@
-"""Named layered-graph fixtures and a seeded random instance generator.
+"""Named layered-graph fixtures, a seeded random instance generator, and a
+brute-force enumeration of spanning paths.
 
 These are the eventually periodic graphs the cover machinery is exercised
 against: spines, crossings, funnels where Hall's condition fails, and random
@@ -8,7 +9,7 @@ is pruned and the cover size equals the layer size).
 
 import random
 
-from .npartite import LayeredGraph
+from horoscope.npartite import LayeredGraph
 
 
 def half_line() -> LayeredGraph:
@@ -133,3 +134,14 @@ def corpus(seed: int = 0) -> list[tuple[str, LayeredGraph]]:
         named.append((f"random_{sub}", random_periodic(sub, k=2 + i % 3,
                                                        period=1 + i % 2)))
     return named
+
+
+def enumerate_spanning_paths(lg: LayeredGraph, depth: int):
+    """All monotone paths spanning layers 0..depth, as name tuples: the
+    oracle for ``spanning_intersection_minima``, which scales where this
+    enumeration does not."""
+    partial = [[a] for a in lg.layer(0)]
+    for i in range(depth):
+        succ = lg.forward_map(i)
+        partial = [p + [bb] for p in partial for bb in sorted(succ[p[-1]])]
+    return [tuple(p) for p in partial]

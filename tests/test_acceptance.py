@@ -1,4 +1,7 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion A1 .. A10, each printing a
+PASS/FAIL line.  A10 is the paper's bound as a cross-check: the rays along
+a monotone path cover of k equal-size spheres give exactly the enumerated
+horofunction restrictions, at most k of them.
 
 Expected constants marked "frozen" were computed by a standalone brute-force
 census before the library was built and are regression-pinned here.
@@ -8,9 +11,9 @@ import random
 import time
 
 import horoscope as h
-from horoscope import corpus
 from horoscope.npartite import relation_between
 
+import corpus
 from conftest import FAMILY_SPECS
 
 FROZEN_COUNTS = {"dihedral": 2, "ladder": 4}      # per-radius, r in [10, 20]
@@ -18,6 +21,27 @@ FROZEN_LATTICE_COUNTS = [8, 16, 24, 32, 40, 48]   # r = 1..6
 FROZEN_GCD = {"integers": 1, "dihedral": 2, "ladder": 1}
 
 FREE2_BUDGET = 2_200_000
+
+# A10: nine linear generating sets, keyed in RECURRING_SPHERE_SIZES by their
+# cover size k, and two superlinear ones, on which no sphere size recurs
+BOUND_SPECS = {
+    **{f: FAMILY_SPECS[f] for f in ("integers", "dihedral", "ladder", "ladder3",
+                                    "lattice")},
+    "integers-12": h.GroupSpec("integers", generators=(-2, -1, 1, 2)),
+    "integers-13": h.GroupSpec("integers", generators=(-3, -1, 1, 3)),
+    "integers-23": h.GroupSpec("integers", generators=(-3, -2, 2, 3)),
+    "dihedral-3": h.GroupSpec("infinite-dihedral",
+                              generators=((0, 1), (1, 1), (2, 1))),
+    "ladder-diag": h.GroupSpec("integers-times-cyclic", modulus=2,
+                               generators=((-1, 0), (1, 0), (0, 1),
+                                           (-1, 1), (1, 1))),
+    "lattice-diag": h.GroupSpec("integer-lattice-2d",
+                                generators=((-1, 0), (1, 0), (0, -1), (0, 1),
+                                            (-1, -1), (1, 1))),
+}
+RECURRING_SPHERE_SIZES = {"integers": 2, "dihedral": 2, "ladder": 4,
+                          "integers-12": 4, "dihedral-3": 4, "ladder-diag": 4,
+                          "ladder3": 6, "integers-13": 6, "integers-23": 6}
 
 
 def _report(tag, ok, detail=""):
@@ -228,3 +252,38 @@ def test_a9_busemann_monotonicity():
     _report("A9", not problems,
             f"{len(FAMILY_SPECS)} families, all y in B_6, ray length 30 "
             + "; ".join(problems))
+
+
+
+def test_a10_cover_rays_bound_horofunctions():
+    # the paper's bound: k monotone paths on equal-size spheres meet every
+    # geodesic ray, so the horofunctions number at most k and each is the
+    # limit along a cover path's ray; statuses all read "heuristic", so the
+    # sets are compared, not the statuses
+    problems = []
+    t0 = time.perf_counter()
+    for name, spec in BOUND_SPECS.items():
+        g = h.cayley_graph(spec)
+        try:
+            sq = h.sphere_quotient(g, bound=40)
+        except h.NoConstantSubsequence:
+            if name in RECURRING_SPHERE_SIZES:
+                problems.append(f"{name}: no recurring sphere size")
+            continue
+        if name not in RECURRING_SPHERE_SIZES:
+            problems.append(f"{name}: superlinear, yet a sphere size recurs")
+            continue
+        cover = h.monotone_cover(sq)
+        rays = {h.horofunction_approx(g, h.monotone_to_ray(g, sq, p), 4, 8).values
+                for p in cover.paths}
+        enumerated = set(h.enumerate_horofunction_restrictions(g, 4, 24, 8))
+        if cover.k != RECURRING_SPHERE_SIZES[name]:
+            problems.append(f"{name}: k={cover.k}")
+        if rays != enumerated or len(enumerated) > cover.k:
+            problems.append(f"{name}: {len(rays)} cover-ray maps, "
+                            f"{len(enumerated)} enumerated, k={cover.k}")
+    elapsed = time.perf_counter() - t0
+    _report("A10", not problems,
+            f"{len(RECURRING_SPHERE_SIZES)} linear sets, "
+            f"{len(BOUND_SPECS) - len(RECURRING_SPHERE_SIZES)} superlinear, "
+            f"time={elapsed:.2f}s " + "; ".join(problems))

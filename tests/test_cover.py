@@ -5,9 +5,10 @@ import random
 import pytest
 
 import horoscope as h
-from horoscope import corpus
-from horoscope.npartite import enumerate_spanning_paths
 from horoscope.specs import cover_jsonable, witness_jsonable
+
+import corpus
+from corpus import enumerate_spanning_paths
 
 
 def brute_minimum(lg, paths, depth):
@@ -147,7 +148,7 @@ def test_reachability_functoriality():
     lg = corpus.two_spine_crossing()
     sel = h.Stride(0, 2)
     for q in h.partition_by_matchings(h.monotone_reachability(lg, sel)):
-        lifted = _expand_path(lg, sel, q)
+        lifted = _expand_path(lg, sel, q, {})
         lifted.validate(lg, depth=24)
         for t in range(12):
             assert lifted.name_at(2 * t) == q.name_at(t)
@@ -160,7 +161,7 @@ def test_expand_path_realigns_short_cycles():
 
     lg = corpus.two_spine_crossing()          # period 2
     spine = h.MonotonePath(0, (), ("a",))     # cycle length 1
-    lifted = _expand_path(lg, h.Stride(0, 1), spine)
+    lifted = _expand_path(lg, h.Stride(0, 1), spine, {})
     assert len(lifted.cycle) == 2
     lifted.validate(lg, depth=24)
     assert all(lifted.name_at(i) == "a" for i in range(24))
@@ -197,7 +198,7 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
     real = npartite._expand_path
     calls = []
 
-    def recording(parent, selection, path, segments=None):
+    def recording(parent, selection, path, segments):
         lifted = real(parent, selection, path, segments)
         calls.append((parent, selection, path, id(segments), lifted))
         return lifted
@@ -212,7 +213,7 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
         except h.HoroscopeError:
             pass
     for parent, selection, path, _, lifted in calls:
-        assert real(parent, selection, path) == lifted
+        assert real(parent, selection, path, {}) == lifted
     assert any(isinstance(sel, tuple) for _, sel, *_ in calls)
     assert any(parent.num_prefix for parent, *_ in calls)
     assert len(calls) > 2 * len({memo for *_, memo, _ in calls})
@@ -233,7 +234,7 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
                     walk.append(rng.choice(nxt))
                 q = h.MonotonePath(0, tuple(walk))
                 lifted = real(lg, sel, q, shared)
-                assert lifted == real(lg, sel, q)
+                assert lifted == real(lg, sel, q, {})
                 for t, name in enumerate(walk):
                     assert lifted.name_at(sel.start + t * sel.stride) == name
 
@@ -272,7 +273,7 @@ def test_multi_phase_hall_failure():
     # the stride analysis runs on the two-phase graph directly
     lg = corpus.funnel_both_phases()
     pr = h.prune_to_spanning(lg)
-    assert pr.dropped == () and pr.selection is None
+    assert pr.graph.layers == lg.layers and pr.selection is None
     w = h.find_hall_failure(lg)
     assert w.base_layer == 0
     assert w.U == ("a", "b") and w.sizes == (2, 1)

@@ -1,12 +1,10 @@
 import pytest
 
 import horoscope as h
-from horoscope import corpus
-from horoscope.npartite import (
-    _cover_uniform,
-    enumerate_spanning_paths,
-    relation_between,
-)
+from horoscope.npartite import _cover_uniform, relation_between
+
+import corpus
+from corpus import enumerate_spanning_paths
 
 
 def half_line_graph():
@@ -123,7 +121,7 @@ def test_prune_removes_isolated_vertex():
     lg = h.LayeredGraph.truncation(layers, steps)
     pr = h.prune_to_spanning(lg)
     assert pr.approximate
-    assert (3, "junk") in pr.dropped
+    assert "junk" in lg.layer(3) and "junk" not in pr.graph.layer(3)
     assert pr.graph.layer(3) == ("a", "b")
     assert pr.selection is None
 
@@ -132,14 +130,15 @@ def test_prune_keeps_matched_spines():
     lg = corpus.two_spine()
     pr = h.prune_to_spanning(lg)
     assert pr.graph == lg
-    assert pr.dropped == ()
+    assert pr.graph.layers == lg.layers
     assert not pr.approximate
 
 
 def test_prune_keeps_funnel_sources():
     # each b starts the infinite path (b, a, a, ...), so everything survives
-    pr = h.prune_to_spanning(corpus.hall_funnel())
-    assert pr.dropped == ()
+    lg = corpus.hall_funnel()
+    pr = h.prune_to_spanning(lg)
+    assert pr.graph.layers == lg.layers
     assert pr.graph.layer(0) == ("a", "b")
 
 
@@ -150,8 +149,9 @@ def test_prune_detects_dead_period_name():
 
 
 def test_prune_prefix_sizes_trigger_selection():
-    pr = h.prune_to_spanning(corpus.prefix_feeder())
-    assert pr.dropped == ()
+    lg = corpus.prefix_feeder()
+    pr = h.prune_to_spanning(lg)
+    assert pr.graph.layers == lg.layers
     assert pr.selection == h.Stride(2, 1)
 
 
@@ -283,7 +283,7 @@ def test_hall_failure_funnel_witness():
     assert w.U == ("a", "b")
     assert w.sizes == (2, 1)
     for m in w.witness_layers:
-        assert w.v_at(m) == ("a",)
+        assert dict(w.V)[m] == ("a",)
 
 
 def test_hall_failure_collapse_witness():
@@ -316,7 +316,7 @@ def test_hall_witness_invariants_by_enumeration():
             for u in w.U:
                 reached |= walk_endpoints(lg, w.base_layer, u, m)
             if m in dict(w.V):
-                assert reached == set(w.v_at(m))
+                assert reached == set(dict(w.V)[m])
             assert len(reached) < len(w.U)
 
 
@@ -366,7 +366,7 @@ def test_funnel_sets_forward_closed():
     gm = h.monotone_reachability(
         lg, h.Stride(w.witness_layers[0],
                      w.witness_layers[1] - w.witness_layers[0]))
-    v = set(w.v_at(w.witness_layers[0]))
+    v = set(dict(w.V)[w.witness_layers[0]])
     for a, b in gm.edge_pairs(0):
         if a in v:
             assert b in v
