@@ -11,10 +11,11 @@ One JSON file describes one object, discriminated by "kind":
 Emitted reports are versioned with "schema": "horoscope/1"; group elements
 serialize as their normal form (ints, [a, b] pairs, or reduced words) and
 value maps as sorted [token, value] arrays.  No conversion layer is needed:
-a tuple is written as an array, byte for byte the same as a list.  The JSON
-layout is exactly ``json.dumps(obj, sort_keys=True, indent=2)``; ``to_json``
-writes it with one format call per array of ints or of value-map items, and
-``test_to_json_matches_json_dumps`` in tests/test_specs_cli.py checks it.
+a tuple is written as an array, byte for byte the same as a list, and a
+report holds its ``ValueMap``s as they are.  The JSON layout is exactly
+``json.dumps(report, sort_keys=True, indent=2)`` with each map written as its
+items array; ``to_json`` writes every value map from one template per ball,
+and tests/test_specs_cli.py checks it on generated reports.
 """
 
 from __future__ import annotations
@@ -97,8 +98,10 @@ def object_from_spec(spec: dict, budget: int = DEFAULT_BUDGET):
 # result serialization
 
 
-def valuemap_jsonable(vm: ValueMap):
-    return vm.items
+def valuemap_jsonable(vm: ValueMap) -> ValueMap:
+    """The map itself: ``to_json`` writes a ``ValueMap`` as its sorted
+    [token, value] items array, from one template per ball and indent."""
+    return vm
 
 
 def path_jsonable(p: MonotonePath):
@@ -169,14 +172,15 @@ def witness_hom_jsonable(w: HomomorphismWitness):
 
 
 def to_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte: dicts
-    and mixed lists are walked here, leaf arrays formatted in bulk by
-    ``_leaf_array``."""
-    return _encode(obj, "\n")
+    """``json.dumps(obj, sort_keys=True, indent=2)`` with each ``ValueMap``
+    replaced by its ``items``, byte for byte: leaf arrays are formatted in
+    bulk, each value map from one template per (domain, indent) in this call."""
+    return _encode(obj, "\n", {})
 
 
-def _encode(o, nl: str) -> str:
-    # ``nl`` is the newline and indent before the closing bracket of ``o``
+def _encode(o, nl: str, templates: dict) -> str:
+    # ``nl`` is the newline and indent before the closing bracket of ``o``;
+    # ``templates`` holds each domain beside its template, so no id is reused
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if o is None or o is True or o is False or isinstance(o, float):
@@ -187,16 +191,23 @@ def _encode(o, nl: str) -> str:
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        body = _leaf_array(o, inner)
-        if body is None:
-            body = ("," + inner).join([_encode(v, inner) for v in o])
-        return "[" + inner + body + nl + "]"
+        text = _leaf_array(o, nl)
+        if text is not None:
+            return text
+        body = ("," + inner).join([_encode(v, inner, templates) for v in o])
+        return f"[{inner}{body}{nl}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_key(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())]
-        ) + nl + "}"
+        body = ("," + inner).join([_key(k) + ": " + _encode(v, inner, templates)
+                                   for k, v in sorted(o.items())])
+        return f"{{{inner}{body}{nl}}}"
+    if isinstance(o, ValueMap):
+        key = (id(o.domain), nl)
+        if key not in templates:
+            templates[key] = (o.domain, _template(o.domain, nl))
+        text = _fill(templates[key][1], o.values)
+        return text if text is not None else _encode(o.items, nl, templates)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
@@ -204,38 +215,57 @@ def _key(k) -> str:
     if k is not None and not isinstance(k, (str, int, float)):
         raise TypeError(f"keys must be str, int, float, bool or None, "
                         f"not {k.__class__.__name__}")
-    return encode_basestring_ascii(k if isinstance(k, str) else _encode(k, ""))
+    return encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
 
 
 def _leaf_array(arr, nl: str) -> str | None:
-    """The items of ``arr``, each after ``nl``, joined by commas, or None if
-    ``arr`` is not a leaf array.  The shape is told by a type census of the
-    whole array (exact types, so a bool never passes as an int); the items
-    are then one template repeated, formatted over the flattened scalars."""
+    """The non-empty ``arr`` as an array closed after ``nl``, or None unless it
+    holds only ints or a value map's items.  Censuses read exact types, so a
+    bool never passes as an int."""
     kinds = set(map(type, arr))
     if kinds == {int}:
-        item, scalars = "%d", arr
-    elif kinds <= {list, tuple} and set(map(len, arr)) == {2}:
+        return _repeat("%d", len(arr), arr, nl)
+    if kinds <= {list, tuple} and set(map(len, arr)) == {2}:
         tokens, values = zip(*arr)
-        if set(map(type, values)) != {int}:
+        return _fill(_template(tokens, nl), values)
+    return None
+
+
+def _fill(template: str | None, values) -> str | None:
+    """``template % values``, or None if either is not a value map's."""
+    if template is None or set(map(type, values)) != {int}:
+        return None
+    return template % tuple(values)
+
+
+def _template(tokens, nl: str) -> str | None:
+    """The items array of a map on ``tokens`` closed after ``nl``, with a
+    ``%d`` hole per value, or None unless the tokens are all ints, all strings
+    or all int pairs; a ``%`` in a string token is doubled to stay text."""
+    kinds = set(map(type, tokens))
+    inner = nl + "  "
+    deep = inner + "  "
+    if kinds == {int}:
+        token, scalars = "%d", tokens
+    elif kinds == {str}:
+        token = "%s"
+        scalars = [encode_basestring_ascii(t).replace("%", "%%") for t in tokens]
+    elif kinds <= {list, tuple} and set(map(len, tokens)) == {2}:
+        firsts, seconds = zip(*tokens)
+        if set(map(type, firsts)) | set(map(type, seconds)) != {int}:
             return None
-        kinds = set(map(type, tokens))
-        deep = nl + "  "
-        if kinds == {int}:
-            token, scalars = "%d", chain.from_iterable(arr)
-        elif kinds == {str}:
-            token = "%s"
-            scalars = chain.from_iterable(zip(map(encode_basestring_ascii, tokens), values))
-        elif kinds <= {list, tuple} and set(map(len, tokens)) == {2}:
-            firsts, seconds = zip(*tokens)
-            if set(map(type, firsts)) | set(map(type, seconds)) != {int}:
-                return None
-            deeper = deep + "  "
-            token = "[" + deeper + "%d," + deeper + "%d" + deep + "]"
-            scalars = chain.from_iterable(zip(firsts, seconds, values))
-        else:
-            return None
-        item = "[" + deep + token + "," + deep + "%d" + nl + "]"
+        deeper = deep + "  "
+        token = "[" + deeper + "%d," + deeper + "%d" + deep + "]"
+        scalars = chain.from_iterable(tokens)
     else:
         return None
-    return ("," + nl).join([item] * len(arr)) % tuple(scalars)
+    item = "[" + deep + token + "," + deep + "%%d" + inner + "]"
+    return _repeat(item, len(tokens), scalars, nl)
+
+
+def _repeat(item: str, n: int, scalars, nl: str) -> str:
+    """n copies of ``item`` as an array closed after ``nl``, formatted in one
+    call over the flattened ``scalars``."""
+    inner = nl + "  "
+    body = ("," + inner).join([item] * n) % tuple(scalars)
+    return f"[{inner}{body}{nl}]"

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import pytest
 
 import horoscope as h
@@ -68,3 +71,30 @@ def bfs_depths(g, x, radius):
                 depth[u] = depth[v] + 1
                 q.append(u)
     return depth
+
+
+def run_threads(target, n=4):
+    """``target()`` in n threads at once, with a 1 us switch interval; the n
+    results, after checking that every thread finished without raising."""
+    results, errors = [], []
+
+    def work():
+        try:
+            results.append(target())
+        except Exception as exc:   # reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == n
+    return results

@@ -1,14 +1,12 @@
 import json
 import random
-import sys
-import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import horoscope as h
-from conftest import FAMILY_SPECS, LINEAR_FAMILIES, bfs_depths, bfs_distance
+from conftest import FAMILY_SPECS, LINEAR_FAMILIES, bfs_depths, bfs_distance, run_threads
 
 
 def half_line_graph():
@@ -542,34 +540,9 @@ def test_custom_distance_budget():
     assert h.distance(warm, warm.basepoint, w, budget=size) == 9
 
 
-def _run_threads(target, n=4):
-    results, errors = [], []
-
-    def work():
-        try:
-            results.append(target())
-        except Exception as exc:   # reported by the assertion below
-            errors.append(exc)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert len(results) == n
-    return results
-
-
 def test_shared_memo_concurrent_layers():
     g = h.cayley_graph(FAMILY_SPECS["free2"])
-    sizes = _run_threads(lambda: h.layer_decomposition(g, 8).sphere_sizes)
+    sizes = run_threads(lambda: h.layer_decomposition(g, 8).sphere_sizes)
     expected = [1] + [4 * 3 ** (r - 1) for r in range(1, 9)]
     assert sizes == [expected] * 4
     assert h.layer_decomposition(g, 8).sphere_sizes == expected
@@ -581,7 +554,7 @@ def test_shared_memo_concurrent_custom_distances():
     pairs = [((rng.randint(-15, 15), rng.randint(-15, 15)),
               (rng.randint(-15, 15), rng.randint(-15, 15))) for _ in range(300)]
     expected = [lattice_diag_length((y[0] - x[0], y[1] - x[1])) for x, y in pairs]
-    got = _run_threads(lambda: [h.distance(g, x, y) for x, y in pairs])
+    got = run_threads(lambda: [h.distance(g, x, y) for x, y in pairs])
     assert got == [expected] * 4
 
 
@@ -592,7 +565,7 @@ def test_shared_memo_concurrent_balls():
         return [(h.layer_decomposition(g, 8).ball(r), h.layer_decomposition(g, r).ball())
                 for r in range(9)]
 
-    results = _run_threads(read)
+    results = run_threads(read)
     spheres = h.layer_decomposition(g, 8).layers
     for got in results:
         for r, (deep, own) in enumerate(got):

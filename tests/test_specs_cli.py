@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import horoscope as h
+from conftest import run_threads
 from horoscope.cli import build_parser, main
 from horoscope.specs import graph_from_spec, load_spec, object_from_spec, to_json
 
@@ -247,6 +248,10 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     assert main(["growth", z, "--budget", "-1"]) == 3   # bad flag value
     assert main(["growth", z, "--out", str(tmp_path / "no-dir" / "r.json")]) == 3
     assert main(["growth", z, "--out", str(tmp_path)]) == 3  # --out is a directory
+    # only horo needs the window below an explicit depth
+    assert main(["horo", z, "--depth", "5", "--window", "8"]) == 3
+    for command in ("orbit", "reroot"):
+        assert main([command, z, "--depth", "5", "--window", "8"]) == 0
     hall = write_spec(tmp_path, "hall.json", HALL_SPEC)
     assert main(["horo", hall]) == 3                    # layered where graph needed
     free2 = write_spec(tmp_path, "f.json", {"kind": "cayley", "family": "free-2"})
@@ -319,11 +324,17 @@ ESCAPED_NAMES = ["v4", "v3", "v2", "雪", "é", 'a"b', "c\\d", "t\tab", "v1", "v
 ESCAPED_PATH_SPEC = {"kind": "explicit", "vertices": ESCAPED_NAMES,
                      "edges": [list(e) for e in zip(ESCAPED_NAMES, ESCAPED_NAMES[1:])],
                      "basepoint": 'a"b'}
+# names that are format fields to the value-map templates of ``to_json``
+PERCENT_NAMES = ["w5", "w4", "w3", "%(x)s", "%%s", "%d", "50%", "w1", "w2", "w6", "w7"]
+PERCENT_PATH_SPEC = {"kind": "explicit", "vertices": PERCENT_NAMES,
+                     "edges": [list(e) for e in zip(PERCENT_NAMES, PERCENT_NAMES[1:])],
+                     "basepoint": "%d"}
 
 # sha256 of the default reports: int tokens (integers), string tokens
-# (free-2, and a path whose names need escaping), pair tokens (ladder,
-# dihedral, lattice with custom generators, and generator keys of the orbit
-# action table), a Hall witness in a cover trace, and one CSV report
+# (free-2, a path whose names need escaping and one whose names hold %),
+# pair tokens (ladder, dihedral, lattice with custom generators, and
+# generator keys of the orbit action table), a Hall witness in a cover
+# trace, and one CSV report
 GOLDEN_REPORTS = [
     pytest.param(
         Z_SPEC, ["growth"],
@@ -353,6 +364,10 @@ GOLDEN_REPORTS = [
         ESCAPED_PATH_SPEC, ["horo", "--radius", "2", "--depth", "5", "--window", "2"],
         "1abc12f1803e61fb003285f1f52daba0220d8c41bc50855e365c2b0571821da6",
         id="horo-escaped-strings"),
+    pytest.param(
+        PERCENT_PATH_SPEC, ["horo", "--radius", "2", "--depth", "5", "--window", "2"],
+        "06a15ceee8976464a08319d33ed60761ac77bf1b83d218177aa9f1521612233d",
+        id="horo-percent-strings"),
     pytest.param(
         DIHEDRAL_SPEC, ["orbit"],
         "f85530406e32abbe4b8a8f8233e68f060596f61844c1f83a5ef45da9bee5a77c",
@@ -450,6 +465,80 @@ def test_to_json_rejects_what_json_rejects(x):
         json.dumps(x, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         to_json(x)
+
+
+def _as_items(x):
+    """``x`` with every ValueMap replaced by its items: what ``to_json``
+    writes for a report that holds maps."""
+    if isinstance(x, h.ValueMap):
+        return x.items
+    if isinstance(x, (list, tuple)):
+        return [_as_items(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _as_items(v) for k, v in x.items()}
+    return x
+
+
+_FORMAT_TEXT = st.sampled_from(["%", "%d", "%%s", "%(x)s", "50%", 'a"b', "雪", "é\\%"])
+_domains = (st.lists(_ints, unique=True, max_size=6)
+            | st.lists(_FORMAT_TEXT | st.text(), unique=True, max_size=6)
+            | st.lists(st.tuples(_ints, _ints), unique=True, max_size=6)
+            | st.lists(_ints | st.text(), max_size=6)).map(tuple)
+
+
+@st.composite
+def _valuemap_reports(draw):
+    """A report over a few domains, each also present as an equal tuple that
+    is a distinct object; maps draw their domain from that pool, so one
+    domain sits at several indents.  About one map in two takes a bool value."""
+    pool = draw(st.lists(_domains, min_size=1, max_size=3))
+    pool += [tuple(list(d)) for d in pool]
+
+    def valuemap(i, values, flip):
+        values = list(values[: len(pool[i])])
+        values += [0] * (len(pool[i]) - len(values))
+        if flip is not None and values:
+            values[flip % len(values)] = True
+        return h.ValueMap(pool[i], tuple(values))
+
+    maps = st.builds(valuemap, st.integers(0, len(pool) - 1),
+                     st.lists(_ints, max_size=6),
+                     st.none() | st.integers(0, 5))
+    return draw(st.recursive(
+        _leaves | maps,
+        lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), kids, max_size=4)),
+        max_leaves=20))
+
+
+_STR_DOMAIN = ("%", "%%s", "%(x)s", "%d", "50%", 'a"b', "é", "雪")
+_PAIR_DOMAIN = ((-1, 0), (0, 0), (1, 2 ** 70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_valuemap_reports())
+@example([h.ValueMap((-2, 0, 5), (1, -1, 2 ** 70)),
+          h.ValueMap(_STR_DOMAIN, tuple(range(8))),
+          h.ValueMap(_PAIR_DOMAIN, (3, 0, -3))])
+@example({"empty": [h.ValueMap((), ()), h.ValueMap((), ())], "m": h.ValueMap((7,), (0,))})
+@example({"a": h.ValueMap(_STR_DOMAIN, (0,) * 8),
+          "b": [[h.ValueMap(_STR_DOMAIN, (1,) * 8)], h.ValueMap(_STR_DOMAIN, (2,) * 8)]})
+@example([h.ValueMap(_PAIR_DOMAIN, (1, 2, 3)),
+          h.ValueMap(tuple(list(_PAIR_DOMAIN)), (4, 5, 6))])
+@example([h.ValueMap((1, 2), (True, 0)), h.ValueMap((1, 2), (0, 1)),
+          h.ValueMap((1, "a", (0, 1)), (0, 1, 2)), h.ValueMap((1, "%d"), (5, 6))])
+def test_to_json_writes_value_maps_as_items(x):
+    assert to_json(x) == json.dumps(_as_items(x), sort_keys=True, indent=2)
+
+
+def test_to_json_of_one_report_from_four_threads():
+    g = h.cayley_graph(h.GroupSpec("integer-lattice-2d"))
+    maps = [h.enumerate_horofunction_restrictions(g, r, 4 * r, 8) for r in (3, 4)]
+    report = {"per_radius": [{"maps": ms} for ms in maps],
+              "fixed": maps[1][0], "names": h.ValueMap(_STR_DOMAIN, tuple(range(8)))}
+    expected = to_json(report)
+    assert run_threads(lambda: [to_json(report) for _ in range(5)]) == [[expected] * 5] * 4
+    assert expected == json.dumps(_as_items(report), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------- README
