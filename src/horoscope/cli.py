@@ -132,15 +132,9 @@ def cmd_horo(g: RootedGraph, args: argparse.Namespace) -> dict:
 def cmd_cover(lg: LayeredGraph, args: argparse.Namespace) -> dict:
     res = monotone_cover(lg)
     report = cover_jsonable(res)
-    depths = [10, 20, 40]
-    if not lg.is_periodic:
-        depths = [d for d in depths if d <= lg.num_layers - 1]
-    if lg.k <= 6 and depths:
-        minima = spanning_intersection_minima(lg, res.paths, tuple(depths))
-        report["verification"] = {
-            "depths": depths,
-            "minima": [minima[d] for d in depths],
-        }
+    minima = spanning_intersection_minima(lg, res.paths) if lg.k <= 6 else {}
+    if minima:
+        report["verification"] = {"depths": list(minima), "minima": list(minima.values())}
     else:
         report["verification"] = {
             "skipped": True,

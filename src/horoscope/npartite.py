@@ -37,8 +37,8 @@ consecutive pair (a Stride, or a tuple of truncation layers) or for the Hall
 witness.  The decision matches each layer pair it tries once, through
 ``_stride_analysis`` on periodic graphs and ``_truncation_witness`` on
 truncations, which ``find_hall_failure`` reads as well; the matching
-branch then matches its chosen pairs a second time, when
-``partition_by_matchings`` walks the reduction.  The modes differ only
+branch walks the matchings the decision found, with the walk that
+``partition_by_matchings`` runs on a whole graph.  The modes differ only
 where the input's shape decides: the split selection, how a part is
 covered, and the walk that pads a name.
 """
@@ -517,8 +517,8 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
 
     Periodic mode composes the block matchings (plus wrap) into a
     permutation of the first block layer; each path then follows one
-    permutation cycle forever.  Raises NoMatching (with the Hall
-    certificate) at the first failing pair.
+    permutation cycle forever (see ``_walk_matchings``).  Raises NoMatching
+    (with the Hall certificate) at the first failing pair.
     """
     def need(j):
         res = layer_matching(lg, j)
@@ -527,18 +527,24 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
                              certificate=res)
         return res.as_dict()
 
+    p = lg.num_prefix
+    # the head steps include the seam; the block steps include the wrap
+    return _walk_matchings(lg.layer(0),
+                           [need(i) for i in range(p if lg.is_periodic else p - 1)],
+                           [need(p + j) for j in range(lg.period_length)])
+
+
+def _walk_matchings(first, head_steps, block_steps) -> tuple[MonotonePath, ...]:
+    """One path from each name of ``first`` along the head matchings (dicts),
+    then around the block matchings, if any, until it returns to its entry."""
     def walk(name, steps):
         names = [name]
         for m in steps:
             names.append(m[names[-1]])
         return names
 
-    p = lg.num_prefix
-    # the head steps include the seam; the block steps include the wrap
-    head_steps = [need(i) for i in range(p if lg.is_periodic else p - 1)]
-    block_steps = [need(p + j) for j in range(lg.period_length)]
     paths = []
-    for a in lg.layer(0):
+    for a in first:
         head = walk(a, head_steps)
         if not block_steps:
             paths.append(MonotonePath(0, tuple(head)))
@@ -572,13 +578,14 @@ class HallFailureWitness:
 _POWER_CAP = 4096  # powers tried per phase before giving up with BudgetExhausted
 
 
-def _stride_analysis(lg: LayeredGraph) -> Stride | HallFailureWitness:
+def _stride_analysis(lg: LayeredGraph) -> tuple[Stride, Matching] | HallFailureWitness:
     """Decide between the matching branch and the Hall-failure branch.
 
     For each block phase j, the reachability relation over q periods is the
     q-th power of a boolean matrix, so it repeats; if some power of some
     phase admits a perfect matching, an infinite equal-gap subsequence with
-    matchings at every consecutive pair exists, and its Stride is returned.
+    matchings at every consecutive pair exists: (its Stride, the matching of
+    the power) is returned, since every pair of the Stride is that pair.
     Otherwise the violators of the powers inside the stabilized cycle repeat
     verbatim and give a Hall-failure witness with constant U and V, built
     from the certificates kept while the powers were tried: each power is
@@ -619,7 +626,7 @@ def _stride_analysis(lg: LayeredGraph) -> Stride | HallFailureWitness:
                 continue
             cert = matching_or_violator(names[j], names[j], power[j])
             if isinstance(cert, Matching):
-                return Stride(p + j, q * b)
+                return Stride(p + j, q * b), cert
             history[j][key] = (q, cert)
         if not progress:
             break
@@ -654,10 +661,10 @@ def find_hall_failure(lg: LayeredGraph) -> HallFailureWitness | None:
     return None
 
 
-def _truncation_witness(lg: LayeredGraph, n: int) -> int | HallFailureWitness | None:
-    """The first deeper layer of the same size as base layer n that matches
-    it; else the Hall-failure witness of n against all of them, or None when
-    there is none.
+def _truncation_witness(lg: LayeredGraph, n: int) -> tuple | HallFailureWitness | None:
+    """The first deeper layer m of the same size as base layer n that matches
+    it, as (m, the matching of n to m); else the Hall-failure witness of n
+    against all of them, or None when there is none.
 
     The Hall certificates are grouped by (U, |V|); the witness is the largest
     group, ties going to the least (U, |V|), so the choice is deterministic.
@@ -669,7 +676,7 @@ def _truncation_witness(lg: LayeredGraph, n: int) -> int | HallFailureWitness | 
         cert = matching_or_violator(lg.layer(n), lg.layer(m),
                                     relation_between(lg, n, m))
         if isinstance(cert, Matching):
-            return m
+            return m, cert
         key = (cert.subset, len(cert.neighborhood))
         classes.setdefault(key, []).append((m, cert.neighborhood))
     if not classes:
@@ -846,27 +853,32 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
                        approximate=pr.approximate)
 
 
-def _matching_selection(g: LayeredGraph) -> Stride | tuple | HallFailureWitness:
-    """The layer selection along which every consecutive pair matches, or
-    the Hall witness: a Stride from ``_stride_analysis`` on periodic graphs,
-    on truncations the greedy chain of layers each matching its predecessor
-    through ``_truncation_witness``."""
+def _matching_selection(g: LayeredGraph) -> tuple | HallFailureWitness:
+    """(selection, paths): every consecutive selected pair matches, and the
+    paths walk those matchings, as ``partition_by_matchings`` does on the
+    reduction; else the Hall witness.  A Stride from ``_stride_analysis`` on
+    periodic graphs, on truncations the greedy chain of layers each matching
+    its predecessor through ``_truncation_witness``."""
     if g.is_periodic:
-        return _stride_analysis(g)
-    chain = [0]
+        res = _stride_analysis(g)
+        if isinstance(res, HallFailureWitness):
+            return res
+        return res[0], _walk_matchings(g.layer(res[0].start), [], [res[1].as_dict()])
+    chain, head_steps = [0], []
     while chain[-1] < g.num_layers - 1:
         res = _truncation_witness(g, chain[-1])
         if isinstance(res, HallFailureWitness):
             return res              # no deeper layer matches the chain's end
-        chain.append(res)
-    return tuple(chain)
+        chain.append(res[0])
+        head_steps.append(res[1].as_dict())
+    return tuple(chain), _walk_matchings(g.layer(0), head_steps, [])
 
 
 def _cover_uniform(g: LayeredGraph):
     """The cover recursion on a uniform graph (prefixless when periodic):
     exactly k paths plus the trace.
 
-    Matching branch: partition the reduction along the selection.  Split
+    Matching branch: lift the paths walked along the selection.  Split
     branch: reduce to the witness layers (one layer, a whole period, on
     periodic graphs), cover the funnel V and its complement W by induction,
     and pad with walks from the layer-0 names that neither part accounts
@@ -875,15 +887,14 @@ def _cover_uniform(g: LayeredGraph):
     a truncation part goes through ``monotone_cover``.
     """
     k = _uniform_size(g)
-    sel = _matching_selection(g)
-    if not isinstance(sel, HallFailureWitness):
-        pn = partition_by_matchings(monotone_reachability(g, sel))
+    witness = _matching_selection(g)
+    if not isinstance(witness, HallFailureWitness):
+        sel, pn = witness
         selection = ("stride", *sel) if isinstance(sel, Stride) else ("layers", sel)
         segments: dict = {}
         return ([_expand_path(g, sel, q, segments) for q in pn],
                 TraceNode(kind="match", k=k, selection=selection))
 
-    witness = sel
     ms = witness.witness_layers
     sel = Stride(ms[0], ms[1] - ms[0]) if g.is_periodic else ms
     gm = monotone_reachability(g, sel)
@@ -935,13 +946,13 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     layers, D + 1, so the field width is sized from the deepest D (8 bits
     while D < 255); Python ints bound neither the width nor the number of
     paths.
-    Returns {D: minimum} with None when no spanning path reaches depth D.
+    Returns {D: minimum} in increasing D, None when no spanning path reaches
+    depth D; a D past a truncation's last layer is left out, {} if all are.
     """
-    depths = sorted(depths)
+    depths = sorted(dd for dd in depths if lg.is_periodic or dd < lg.num_layers)
+    if not depths:
+        return {}
     top = depths[-1]
-    if not lg.is_periodic:
-        top = min(top, lg.num_layers - 1)
-        depths = [dd for dd in depths if dd <= top]
     width = max(8, (top + 1).bit_length())
     field_mask = (1 << width) - 1
 

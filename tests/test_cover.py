@@ -239,6 +239,37 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
                     assert lifted.name_at(sel.start + t * sel.stride) == name
 
 
+def test_matching_selection_walks_the_partition(monkeypatch):
+    # the matching branch walks the matchings its decision found; they
+    # give the paths partition_by_matchings finds on the reduction
+    from horoscope import npartite
+
+    real = npartite._cover_uniform
+    graphs = []
+
+    def recording(g):
+        graphs.append(g)
+        return real(g)
+
+    monkeypatch.setattr(npartite, "_cover_uniform", recording)
+    for lg in ([lg for _, lg in corpus.corpus(0)]
+               + [random_prefixed_periodic(seed) for seed in range(200)]
+               + [random_truncation(seed) for seed in range(100)]):
+        try:
+            h.monotone_cover(lg)
+        except h.HoroscopeError:
+            pass
+    kinds = set()
+    for g in graphs:
+        res = npartite._matching_selection(g)
+        if isinstance(res, h.HallFailureWitness):
+            continue
+        sel, paths = res
+        assert paths == h.partition_by_matchings(h.monotone_reachability(g, sel))
+        kinds.add(type(sel))
+    assert kinds == {h.Stride, tuple}
+
+
 def test_cover_propagates_empty():
     lg = h.LayeredGraph.periodic([["a"]], [], [])
     with pytest.raises(h.EmptyGraph):
@@ -413,6 +444,17 @@ def test_intersection_minima_count_a_name_none():
         return h.spanning_intersection_minima(lg, h.monotone_cover(lg).paths)
 
     assert one_spine(None) == one_spine("a") == {10: 11, 20: 21, 40: 41}
+
+
+def test_intersection_minima_without_a_depth_is_empty():
+    # no depth asked for, or none inside a short truncation: no minima
+    lg = corpus.two_spine()
+    assert h.spanning_intersection_minima(lg, h.monotone_cover(lg).paths, ()) == {}
+    short = lg.unfold(5)
+    paths = h.monotone_cover(short).paths
+    assert h.spanning_intersection_minima(short, paths) == {}
+    assert h.spanning_intersection_minima(short, paths, (10, 5, 6)) == \
+        {5: brute_minimum(short, paths, 5)}
 
 
 def test_grouped_dp_matches_brute_force():
@@ -591,12 +633,12 @@ def test_periodic_splits_pad_only_the_complement():
 
 
 @pytest.mark.parametrize("lg,calls", [
-    pytest.param(corpus.double_funnel_k4(), 6, id="periodic-double-funnel"),
-    pytest.param(random_truncation(243), 21, id="truncation-243"),
+    pytest.param(corpus.double_funnel_k4(), 4, id="periodic-double-funnel"),
+    pytest.param(random_truncation(243), 13, id="truncation-243"),
 ])
 def test_cover_matches_each_layer_pair_once(monkeypatch, lg, calls):
-    # the decision functions keep the Hall certificates they compute, so a
-    # split matches each layer pair it tries once
+    # the decision functions keep the Hall certificates and the matchings
+    # they compute, so the cover matches each layer pair it tries once
     from horoscope import npartite
 
     seen = []

@@ -329,12 +329,23 @@ PERCENT_NAMES = ["w5", "w4", "w3", "%(x)s", "%%s", "%d", "50%", "w1", "w2", "w6"
 PERCENT_PATH_SPEC = {"kind": "explicit", "vertices": PERCENT_NAMES,
                      "edges": [list(e) for e in zip(PERCENT_NAMES, PERCENT_NAMES[1:])],
                      "basepoint": "%d"}
+# layered specs whose cover skips the verification: k = 7, and a
+# truncation of 6 layers, shallower than every check depth
+N7 = list("abcdefg")
+K7_SPEC = {"kind": "layered",
+           "period": {"layers": [N7, N7],
+                      "edges": [[0, a, b] for i, a in enumerate(N7)
+                                for b in (N7[(i + 1) % 7], N7[(i + 3) % 7])]},
+           "wrap": [[a, a] for a in N7]}
+SHORT_SPEC = {"kind": "layered", "layers": [["a", "b", "c"]] * 6,
+              "edges": [[j, a, b] for j in range(5)
+                        for a, b in (("a", "a"), ("b", "a"), ("c", "b"), ("c", "c"))]}
 
 # sha256 of the default reports: int tokens (integers), string tokens
 # (free-2, a path whose names need escaping and one whose names hold %),
 # pair tokens (ladder, dihedral, lattice with custom generators, and
 # generator keys of the orbit action table), a Hall witness in a cover
-# trace, and one CSV report
+# trace, both notes of a skipped cover verification, and CSV reports
 GOLDEN_REPORTS = [
     pytest.param(
         Z_SPEC, ["growth"],
@@ -408,6 +419,22 @@ GOLDEN_REPORTS = [
         HALL_SPEC, ["cover", "--format", "csv"],
         "c9c32201756dea85773f1e5685cdcb9f9eb9bcbed2419f474c54e1f308d0d498",
         id="cover-hall-csv"),
+    pytest.param(
+        K7_SPEC, ["cover"],
+        "e68e8b72a2acd90a7db93d7f7aaf7575b44e68d7c30d650082ee582567384876",
+        id="cover-k7-skipped"),
+    pytest.param(
+        K7_SPEC, ["cover", "--format", "csv"],
+        "0ef8def23b4e52fac56f668a7fe733fcacbecfa6b918e9cb4f11d64a8fa609e6",
+        id="cover-k7-skipped-csv"),
+    pytest.param(
+        SHORT_SPEC, ["cover"],
+        "ab0a3d29a496e71d96093bb713e66ec227f22d9efc08ad1fd03f7d23551afd2b",
+        id="cover-short-truncation-skipped"),
+    pytest.param(
+        SHORT_SPEC, ["cover", "--format", "csv"],
+        "ec3c5d43f8f201bad4a230365d9ddb5730a50aeadb440f0385178c5d6cff1903",
+        id="cover-short-truncation-skipped-csv"),
 ]
 
 
