@@ -3,7 +3,7 @@
 Three layers of machinery:
 
 * :mod:`horoscope.graphs` — rooted graphs, BFS spheres, Busemann tables,
-  geodesic rays, stabilized horofunction restrictions, ray rerooting;
+  rays as vertex tuples, stabilized horofunction restrictions, rerooting;
 * :mod:`horoscope.npartite` — layered graphs, Hall matchings, pruning,
   monotone reachability, the monotone path cover, sphere quotients;
 * :mod:`horoscope.cayley` — built-in group families as Cayley graphs, the
@@ -48,13 +48,11 @@ from .errors import (
 )
 from .graphs import (
     BusemannTable,
-    GeodesicRay,
     HorofunctionApprox,
     LayerDecomposition,
     RootedGraph,
     ValueMap,
     busemann,
-    canonical_ray,
     distance,
     enumerate_horofunction_restrictions,
     explicit_graph,

@@ -27,7 +27,6 @@ from .cayley import CayleyGraph, extract_homomorphism, orbit_analysis
 from .errors import BudgetExhausted, HoroscopeError, MalformedSpec, PrefixTooShort, RayNotExtendable
 from .graphs import (
     RECURRENCE_THRESHOLD,
-    GeodesicRay,
     RootedGraph,
     distance,  # noqa: F401  (perfbench's tracer test reads cli.distance)
     enumerate_horofunction_restrictions,
@@ -172,9 +171,8 @@ def cmd_reroot(g: RootedGraph, args: argparse.Namespace) -> dict:
     count = 100
     for i in range(count):
         start = rng.choice(ball)
-        prefix = GeodesicRay((start,), lambda _g, _vs, cands: rng.choice(cands))
         try:
-            ray = extend_ray(g, prefix, length, args.budget)
+            ray = extend_ray(g, (start,), length, args.budget, rng.choice)
             n0, rerooted = reroot_ray(g, ray, args.budget)
         except RayNotExtendable:
             results.append({"start": start, "skipped": True})
@@ -182,10 +180,9 @@ def cmd_reroot(g: RootedGraph, args: argparse.Namespace) -> dict:
         except PrefixTooShort:
             results.append({"start": start, "unsettled": True})
             continue
-        dist_o = g.metric_from(g.basepoint, args.budget, targets=rerooted.vertices)
-        geodesic_ok = all(dist_o(v) == i for i, v in enumerate(rerooted.vertices))
-        agrees = rerooted.vertices[-(length - n0 + 1):] == ray.vertices[n0:] \
-            if n0 < length else True
+        dist_o = g.metric_from(g.basepoint, args.budget, targets=rerooted)
+        geodesic_ok = all(dist_o(v) == i for i, v in enumerate(rerooted))
+        agrees = rerooted[-(length - n0 + 1):] == ray[n0:] if n0 < length else True
         results.append({
             "start": start,
             "N": n0,

@@ -4,8 +4,9 @@ The central object is :class:`RootedGraph`: a basepoint plus a neighbor
 oracle returning canonically sorted finite neighbor lists, so graphs may be
 infinite and are explored lazily by BFS.  On top of it live sphere
 decompositions, Busemann tables b_z(y) = d(z,y) - d(z,o), geodesic rays
-(finite prefixes plus a policy that chooses among the distance-increasing
-neighbors), stabilized horofunction restrictions, and ray rerooting.
+(vertex tuples (x_0, ..., x_L), which ``extend_ray(..., choose=)`` lengthens
+by choosing among the distance-increasing neighbors of the tip), stabilized
+horofunction restrictions, and ray rerooting.
 
 Every distance query goes through one method, :meth:`RootedGraph.metric_from`,
 which returns u -> d(z, u).  A plain graph runs a BFS from z; a Cayley graph
@@ -366,63 +367,46 @@ def busemann(g: RootedGraph, z: Vertex, r: int,
 
 
 # ---------------------------------------------------------------------------
-# geodesic rays
+# geodesic rays: a ray is the tuple (x_0, ..., x_L) of its vertices
 
 
-@dataclass(frozen=True)
-class GeodesicRay:
-    """A geodesic prefix (x_0, ..., x_L) plus an optional extension policy.
-
-    The policy, when given, is a callable (graph, prefix_tuple, candidates)
-    -> vertex that chooses among the distance-increasing neighbors: the
-    candidates are the sorted neighbors of x_L at distance L + 1 from x_0,
-    and returning None gives up.  Without a policy, extension picks the
-    least candidate.
-    """
-
-    vertices: tuple[Vertex, ...]
-    extension: Callable | None = field(default=None, compare=False)
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-    def starts_at(self, g: RootedGraph) -> bool:
-        return self.vertices[0] == g.basepoint
+def ray_start(ray: tuple[Vertex, ...]) -> Vertex:
+    """x_0, or NotGeodesic for an empty ray."""
+    if not ray:
+        raise NotGeodesic("empty vertex sequence")
+    return ray[0]
 
 
-def validate_ray(g: RootedGraph, ray: GeodesicRay,
+def validate_ray(g: RootedGraph, ray: tuple[Vertex, ...],
                  budget: int = DEFAULT_BUDGET) -> None:
     """Raise NotGeodesic unless consecutive vertices are adjacent and
     d(x_0, x_n) = n for every prefix position."""
-    vs = ray.vertices
-    if not vs:
-        raise NotGeodesic("empty vertex sequence")
-    for a, b in zip(vs, vs[1:]):
+    start = ray_start(ray)
+    for a, b in zip(ray, ray[1:]):
         if b not in g.neighbors(a):
             raise NotGeodesic(f"{a!r} and {b!r} are not adjacent")
-    dist = g.metric_from(vs[0], budget, reach=len(vs) - 1)
-    for n, v in enumerate(vs):
+    dist = g.metric_from(start, budget, reach=len(ray) - 1)
+    for n, v in enumerate(ray):
         if dist(v) != n:
             raise NotGeodesic(f"d(x_0, x_{n}) != {n}")
 
 
-def extend_ray(g: RootedGraph, ray: GeodesicRay, length: int,
-               budget: int = DEFAULT_BUDGET) -> GeodesicRay:
-    """Extend the prefix to the requested length.
+def extend_ray(g: RootedGraph, ray: tuple[Vertex, ...], length: int,
+               budget: int = DEFAULT_BUDGET,
+               choose: Callable[[list], Vertex] = min) -> tuple[Vertex, ...]:
+    """Extend the ray to the requested length.
 
-    Each step computes the candidates once, the sorted neighbors of the tip
-    one step farther from x_0; the ray's policy chooses among these
-    distance-increasing neighbors, and without one the least is taken.
-    Raises RayNotExtendable when there is no candidate or the policy returns
-    None, and NotGeodesic when it picks another vertex.
+    Each step takes ``choose(candidates)``, where the candidates are the
+    sorted neighbors of the tip one step farther from x_0; the default takes
+    the least.  Raises RayNotExtendable when there is no candidate, and
+    NotGeodesic when ``choose`` returns another vertex.
     """
-    vs = list(ray.vertices)
-    if len(vs) - 1 >= length:
+    start = ray_start(ray)
+    if len(ray) > length:
         return ray
-    policy = ray.extension
-    dist_from_start = g.metric_from(vs[0], budget, reach=length)
-    while len(vs) - 1 < length:
+    vs = list(ray)
+    dist_from_start = g.metric_from(start, budget, reach=length)
+    while len(vs) <= length:
         tip = vs[-1]
         want = len(vs)  # required distance from x_0 for the next vertex
         cands = [u for u in g.neighbors(tip) if dist_from_start(u) == want]
@@ -430,21 +414,12 @@ def extend_ray(g: RootedGraph, ray: GeodesicRay, length: int,
             raise RayNotExtendable(
                 f"no distance-increasing neighbor at {tip!r} "
                 f"(length {len(vs) - 1})")
-        nxt = min(cands) if policy is None else policy(g, tuple(vs), cands)
-        if nxt is None:
-            raise RayNotExtendable(f"policy gave up at length {len(vs) - 1}")
+        nxt = choose(cands)
         if nxt not in cands:
             raise NotGeodesic(
-                f"extension policy chose {nxt!r}, which does not extend "
-                "the geodesic")
+                f"extension chose {nxt!r}, which does not extend the geodesic")
         vs.append(nxt)
-    return GeodesicRay(tuple(vs), policy)
-
-
-def canonical_ray(g: RootedGraph, length: int,
-                  budget: int = DEFAULT_BUDGET) -> GeodesicRay:
-    """The canonical geodesic ray from the basepoint (least-vertex policy)."""
-    return extend_ray(g, GeodesicRay((g.basepoint,)), length, budget)
+    return tuple(vs)
 
 
 def canonical_geodesic(g: RootedGraph, a: Vertex, b: Vertex,
@@ -479,7 +454,7 @@ class HorofunctionApprox:
     ``window`` consecutive constant observations beyond ``stabilization_depth``.
     """
 
-    ray: GeodesicRay
+    ray: tuple[Vertex, ...]
     radius: int
     values: ValueMap
     stabilization_depth: int
@@ -488,18 +463,18 @@ class HorofunctionApprox:
     floor_certified: int
 
 
-def horofunction_approx(g: RootedGraph, ray: GeodesicRay, r: int, window: int,
+def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window: int,
                         budget: int = DEFAULT_BUDGET,
                         max_depth: int | None = None) -> HorofunctionApprox:
     """Follow b_{z_n} along the ray until every value in B_r has been
     constant for ``window`` consecutive steps.
 
     The ray must start at the basepoint (reroot first otherwise); it is
-    extended on demand through its policy.  Along a geodesic from o the
+    extended on demand by least candidates.  Along a geodesic from o the
     sequence n -> b_{z_n}(y) is non-increasing and bounded below by
     -d(o, y), so it is eventually constant and the loop terminates.
     """
-    if not ray.starts_at(g):
+    if ray_start(ray) != g.basepoint:
         raise NotGeodesic("ray must start at the basepoint; use reroot_ray first")
     if r < 0 or window < 1:
         raise ValueError("need r >= 0 and window >= 1")
@@ -519,7 +494,7 @@ def horofunction_approx(g: RootedGraph, ray: GeodesicRay, r: int, window: int,
             raise BudgetExhausted(
                 f"no stabilization of all {len(ball)} values within depth {max_depth}")
         ray = extend_ray(g, ray, n, budget)
-        z = ray.vertices[n]
+        z = ray[n]
         base, values = _busemann_values(g, z, ball, budget)
         if base != n:
             raise NotGeodesic(f"ray vertex {n} is at distance {base} from o")
@@ -588,8 +563,8 @@ def enumerate_horofunction_restrictions(
 # rerooting
 
 
-def reroot_ray(g: RootedGraph, ray: GeodesicRay,
-               budget: int = DEFAULT_BUDGET) -> tuple[int, GeodesicRay]:
+def reroot_ray(g: RootedGraph, ray: tuple[Vertex, ...],
+               budget: int = DEFAULT_BUDGET) -> tuple[int, tuple[Vertex, ...]]:
     """Turn a geodesic prefix from an arbitrary start into one from o.
 
     The sequence c_n = d(x_n, o) - d(x_n, x_0) is non-increasing and bounded
@@ -599,11 +574,9 @@ def reroot_ray(g: RootedGraph, ray: GeodesicRay,
     (N, rerooted ray).  Raises PrefixTooShort until constancy has been
     witnessed for at least one step beyond its last change.
     """
-    vs = ray.vertices
-    length = len(vs) - 1
-    dist_o = g.metric_from(g.basepoint, budget, targets=vs)
-    d_o = [dist_o(v) for v in vs]
-    c = [d_o[n] - n for n in range(len(vs))]
+    ray_start(ray)  # NotGeodesic for an empty ray
+    dist_o = g.metric_from(g.basepoint, budget, targets=ray)
+    c = [dist_o(v) - n for n, v in enumerate(ray)]
     for a, b in zip(c, c[1:]):
         if b > a:
             raise NotGeodesic("d(x_n, o) - n increased along the prefix")
@@ -611,15 +584,15 @@ def reroot_ray(g: RootedGraph, ray: GeodesicRay,
     for n in range(1, len(c)):
         if c[n] != c[n - 1]:
             last_change = n
-    if length < last_change + 1:
+    if len(ray) <= last_change + 1:
         raise PrefixTooShort(
             f"constancy from index {last_change} not yet witnessed one step "
             "beyond; extend the ray and retry")
     n0 = last_change
-    head = canonical_geodesic(g, g.basepoint, vs[n0], budget)
+    head = canonical_geodesic(g, g.basepoint, ray[n0], budget)
     # constancy of c from n0 on gives d(o, x_j) = d(o, x_{n0}) + (j - n0),
     # so the splice is geodesic from o position by position
-    return n0, GeodesicRay(head + vs[n0 + 1:], ray.extension)
+    return n0, head + ray[n0 + 1:]
 
 
 # ---------------------------------------------------------------------------

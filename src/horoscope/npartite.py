@@ -58,7 +58,6 @@ from .errors import (
     NoConstantSubsequence,
     NoMatching,
     NonConsecutiveEdge,
-    NotGeodesic,
     NotMonotone,
     RayNotExtendable,
     RayTooShort,
@@ -67,11 +66,11 @@ from .errors import (
 from .graphs import (
     DEFAULT_BUDGET,
     RECURRENCE_THRESHOLD,
-    GeodesicRay,
     RootedGraph,
     canonical_geodesic,
     extend_ray,
     layer_decomposition,
+    ray_start,
     recurring_sphere_size,
 )
 from .matching import HallViolator, Matching, matching_or_violator
@@ -254,12 +253,16 @@ def build_layered(spec: dict) -> LayeredGraph:
         steps = [[] for _ in range(max(n_layers - 1, 0))]
         for e in name_lists(entries, f"{where} edges", 3):
             j, a, b = e
-            if not isinstance(j, int) or not 0 <= j < n_layers - 1:
+            if type(j) is not int or not 0 <= j < n_layers - 1:  # no bools
                 raise NonConsecutiveEdge(
                     f"{where}: edge {e!r} does not join consecutive layers in range")
             steps[j].append((a, b))
         return steps
 
+    mixed = [k for k in ("period", "wrap", "prefix", "seam") if k in spec]
+    if "layers" in spec and mixed:
+        raise MalformedSpec('truncation key "layers" cannot be mixed with '
+                            + ", ".join(f'"{k}"' for k in mixed))
     period = section("period")
     if period is not None:
         p_layers = name_lists(period.get("layers"), "period.layers")
@@ -1046,8 +1049,8 @@ def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
     return LayeredGraph.truncation(layers, steps, tags=radii)
 
 
-def ray_to_monotone(g: RootedGraph, lg: LayeredGraph,
-                    ray: GeodesicRay, budget: int = DEFAULT_BUDGET) -> MonotonePath:
+def ray_to_monotone(g: RootedGraph, lg: LayeredGraph, ray: tuple[Any, ...],
+                    budget: int = DEFAULT_BUDGET) -> MonotonePath:
     """The monotone path through exactly the ray's sphere intersections.
 
     ``lg`` must come from :func:`sphere_quotient` on the same graph (its
@@ -1057,19 +1060,18 @@ def ray_to_monotone(g: RootedGraph, lg: LayeredGraph,
     if lg.layer_tags is None:
         raise ValueError("layered graph carries no sphere radii; "
                          "build it with sphere_quotient")
-    if not ray.starts_at(g):
+    if ray_start(ray) != g.basepoint:
         raise ValueError("ray must start at the basepoint")
     radii = lg.layer_tags
-    if ray.length < radii[-1]:
-        try:
-            ray = extend_ray(g, ray, radii[-1], budget)
-        except (RayNotExtendable, NotGeodesic) as exc:
-            raise RayTooShort(
-                f"ray of length {ray.length} cannot cross the last sphere "
-                f"(radius {radii[-1]})") from exc
+    try:
+        ray = extend_ray(g, ray, radii[-1], budget)
+    except RayNotExtendable as exc:
+        raise RayTooShort(
+            f"ray of length {len(ray) - 1} cannot cross the last sphere "
+            f"(radius {radii[-1]})") from exc
     names = []
     for t, m in enumerate(radii):
-        v = ray.vertices[m]
+        v = ray[m]
         if v not in lg.layer(t):
             raise ValueError(f"ray vertex {v!r} is not in sphere layer {t}; "
                              "was the layered graph built from this graph?")
@@ -1078,7 +1080,7 @@ def ray_to_monotone(g: RootedGraph, lg: LayeredGraph,
 
 
 def monotone_to_ray(g: RootedGraph, lg: LayeredGraph, path: MonotonePath,
-                    budget: int = DEFAULT_BUDGET) -> GeodesicRay:
+                    budget: int = DEFAULT_BUDGET) -> tuple[Any, ...]:
     """Companion lift: realize a monotone path of a sphere quotient as a
     geodesic ray from o, choosing canonical geodesic segments."""
     if lg.layer_tags is None:
@@ -1094,4 +1096,4 @@ def monotone_to_ray(g: RootedGraph, lg: LayeredGraph, path: MonotonePath,
         if len(seg) - 1 != radii[t + 1] - radii[t]:
             raise ValueError(f"no distance-realizing segment at step {t}")
         vertices.extend(seg[1:])
-    return GeodesicRay(tuple(vertices))
+    return tuple(vertices)

@@ -149,14 +149,14 @@ def test_a6_reroot_random_prefixes():
                 cands = [u for u in g.neighbors(vs[-1])
                          if h.distance(g, start, u) == want]
                 vs.append(rng.choice(cands))
-            n0, back = h.reroot_ray(g, h.GeodesicRay(tuple(vs)))
+            n0, back = h.reroot_ray(g, tuple(vs))
             d0 = h.distance(g, g.basepoint, start)
             if n0 > d0 + 30:
                 problems.append(f"{family}#{trial}: N={n0} > d+30")
             if any(h.distance(g, g.basepoint, v) != i
-                   for i, v in enumerate(back.vertices)):
+                   for i, v in enumerate(back)):
                 problems.append(f"{family}#{trial}: not geodesic from o")
-            if back.vertices[-(31 - n0):] != tuple(vs[n0:]):
+            if back[-(31 - n0):] != tuple(vs[n0:]):
                 problems.append(f"{family}#{trial}: tail disagrees from N")
     _report("A6", not problems,
             f"{100 * len(FAMILY_SPECS)} prefixes rerooted " + "; ".join(problems))
@@ -238,12 +238,12 @@ def test_a9_busemann_monotonicity():
     problems = []
     for family, spec in FAMILY_SPECS.items():
         g = h.cayley_graph(spec)
-        ray = h.canonical_ray(g, 30)
+        ray = h.extend_ray(g, (g.basepoint,), 30)
         ld = h.layer_decomposition(g, 6)
         for y in ld.ball():
             dy = ld.depth_of(y)
             prev = None
-            for n, z in enumerate(ray.vertices):
+            for n, z in enumerate(ray):
                 b = h.distance(g, z, y) - n
                 if b < -dy or (prev is not None and b > prev):
                     problems.append(f"{family} at y={y!r} n={n}")

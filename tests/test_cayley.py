@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import chain
 
 import pytest
@@ -457,6 +458,16 @@ def test_witness_ladder3_kills_torsion(graphs):
     wit = h.extract_homomorphism(orb, g)
     assert all(x[1] == 0 for x in orb.stabilizer_sample)
     assert wit.image_gcd == 1
+
+
+def test_witness_refuses_a_non_additive_fixed_map(graphs):
+    g = graphs["integers"]
+    orb = h.orbit_analysis(g, _enumerated(graphs, "integers"), 8)
+    f = orb.fixed
+    # f(5) + 1 breaks f(1 * 4) = f(1) + f(4) on the fixed map y -> y
+    bumped = h.ValueMap(f.domain, tuple(v + (y == 5) for y, v in f.items), f.radius)
+    with pytest.raises(h.AdditivityViolation):
+        h.extract_homomorphism(replace(orb, fixed=bumped), g)
 
 
 def test_witness_sparse_generators():

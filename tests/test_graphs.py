@@ -206,39 +206,49 @@ def test_valuemap_ordering_is_item_order(d):
 
 
 def test_canonical_ray(graphs):
-    ray = h.canonical_ray(graphs["integers"], 5)
-    assert ray.vertices == (0, -1, -2, -3, -4, -5)
+    ray = h.extend_ray(graphs["integers"], (0,), 5)
+    assert ray == (0, -1, -2, -3, -4, -5)
     h.validate_ray(graphs["integers"], ray)
 
 
 def test_extend_ray_policy(graphs):
     g = graphs["integers"]
-    ray = h.GeodesicRay((0,), extension=lambda gg, vs, cands: vs[-1] + 1)
-    assert h.extend_ray(g, ray, 4).vertices == (0, 1, 2, 3, 4)
-    bad = h.GeodesicRay((0, 1), extension=lambda gg, vs, cands: vs[-1] - 1)
+    assert h.extend_ray(g, (0,), 4, choose=max) == (0, 1, 2, 3, 4)
     with pytest.raises(h.NotGeodesic):
-        h.extend_ray(g, bad, 4)
+        h.extend_ray(g, (0, 1), 4, choose=lambda cands: cands[-1] - 2)
 
 
 def test_extend_ray_policy_chooses_among_candidates(graphs):
     seen = []
-    ray = h.GeodesicRay((0,), extension=lambda gg, vs, cands:
-                        seen.append(cands) or cands[-1])
-    assert h.extend_ray(graphs["integers"], ray, 3).vertices == (0, 1, 2, 3)
+    ray = h.extend_ray(graphs["integers"], (0,), 3,
+                       choose=lambda cands: seen.append(cands) or cands[-1])
+    assert ray == (0, 1, 2, 3)
     assert seen == [[-1, 1], [2], [3]]
 
 
 def test_extend_ray_dead_end():
     g = h.explicit_graph([0, 1, 2], [[0, 1], [1, 2]], 0)
     with pytest.raises(h.RayNotExtendable):
-        h.extend_ray(g, h.GeodesicRay((0,)), 5)
+        h.extend_ray(g, (0,), 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: h.validate_ray(g, ()),
+    lambda g: h.extend_ray(g, (), 3),
+    lambda g: h.horofunction_approx(g, (), 2, 3),
+    lambda g: h.reroot_ray(g, ()),
+    lambda g: h.ray_to_monotone(g, h.sphere_quotient(g, bound=6), ())],
+    ids=["validate", "extend", "horofunction", "reroot", "to_monotone"])
+def test_empty_ray_is_not_geodesic(graphs, call):
+    with pytest.raises(h.NotGeodesic, match="empty vertex sequence"):
+        call(graphs["integers"])
 
 
 def test_validate_ray_rejects_non_geodesic(graphs):
     with pytest.raises(h.NotGeodesic):
-        h.validate_ray(graphs["integers"], h.GeodesicRay((0, 1, 0)))
+        h.validate_ray(graphs["integers"], (0, 1, 0))
     with pytest.raises(h.NotGeodesic):
-        h.validate_ray(graphs["integers"], h.GeodesicRay((0, 2)))
+        h.validate_ray(graphs["integers"], (0, 2))
 
 
 # ---------------------------------------------------------------- horofunctions
@@ -246,7 +256,7 @@ def test_validate_ray_rejects_non_geodesic(graphs):
 
 def test_horofunction_integers(graphs):
     g = graphs["integers"]
-    ha = h.horofunction_approx(g, h.GeodesicRay((0, 1, 2)), 4, 8)
+    ha = h.horofunction_approx(g, (0, 1, 2), 4, 8)
     for y in range(-4, 5):
         assert ha.values.value(y) == -y
     assert ha.values.value(0) == 0
@@ -255,10 +265,10 @@ def test_horofunction_integers(graphs):
 
 def test_horofunction_ray_vertices(graphs):
     g = graphs["ladder"]
-    ray = h.canonical_ray(g, 12)
+    ray = h.extend_ray(g, (g.basepoint,), 12)
     ha = h.horofunction_approx(g, ray, 5, 6)
     ld = h.layer_decomposition(g, 5)
-    for n, z in enumerate(ha.ray.vertices):
+    for n, z in enumerate(ha.ray):
         if z in ld:
             assert ha.values.value(z) == -n
 
@@ -266,28 +276,28 @@ def test_horofunction_ray_vertices(graphs):
 def test_horofunction_ladder_limit_values(graphs):
     # the canonical ladder ray heads to (-inf, 0); its limit is (y, u) -> y + u
     g = graphs["ladder"]
-    ha = h.horofunction_approx(g, h.canonical_ray(g, 16), 4, 8)
+    ha = h.horofunction_approx(g, h.extend_ray(g, (g.basepoint,), 16), 4, 8)
     for (y, u) in ha.values.domain:
         assert ha.values.value((y, u)) == y + u
 
 
 def test_horofunction_stabilized_on_half_line():
     g = half_line_graph()
-    ha = h.horofunction_approx(g, h.GeodesicRay((0, 1)), 4, 6)
+    ha = h.horofunction_approx(g, (0, 1), 4, 6)
     assert ha.status == "stabilized"
     assert ha.floor_certified == 5
     assert [ha.values.value(y) for y in range(5)] == [0, -1, -2, -3, -4]
 
 
 def test_horofunction_heuristic_on_line(graphs):
-    ha = h.horofunction_approx(graphs["integers"], h.GeodesicRay((0, 1)), 3, 5)
+    ha = h.horofunction_approx(graphs["integers"], (0, 1), 3, 5)
     assert ha.status == "heuristic"  # values at -y never hit -d(o,y) for y < 0
     assert ha.stabilization_depth <= 3
 
 
 def test_horofunction_requires_basepoint(graphs):
     with pytest.raises(h.NotGeodesic):
-        h.horofunction_approx(graphs["integers"], h.GeodesicRay((1, 2)), 3, 4)
+        h.horofunction_approx(graphs["integers"], (1, 2), 3, 4)
 
 
 # ---------------------------------------------------------------- enumeration
@@ -354,37 +364,37 @@ def test_enumerate_empty_sphere():
 
 def test_reroot_already_at_basepoint(graphs):
     g = graphs["integers"]
-    ray = h.GeodesicRay((0, 1, 2, 3))
+    ray = (0, 1, 2, 3)
     n0, back = h.reroot_ray(g, ray)
     assert n0 == 0
-    assert back.vertices == ray.vertices
+    assert back == ray
 
 
 def test_reroot_shifted_positive(graphs):
-    n0, back = h.reroot_ray(graphs["integers"], h.GeodesicRay((1, 2, 3, 4)))
+    n0, back = h.reroot_ray(graphs["integers"], (1, 2, 3, 4))
     assert n0 == 0
-    assert back.vertices == (0, 1, 2, 3, 4)
+    assert back == (0, 1, 2, 3, 4)
 
 
 def test_reroot_negative_example(graphs):
-    n0, back = h.reroot_ray(graphs["integers"], h.GeodesicRay((-3, -4, -5, -6)))
+    n0, back = h.reroot_ray(graphs["integers"], (-3, -4, -5, -6))
     assert n0 == 0
-    assert back.vertices == (0, -1, -2, -3, -4, -5, -6)
+    assert back == (0, -1, -2, -3, -4, -5, -6)
 
 
 def test_reroot_with_turnaround(graphs):
     # walks toward o then away: the difference sequence settles mid-prefix
     g = graphs["integers"]
-    n0, back = h.reroot_ray(g, h.GeodesicRay((2, 3, 4, 5)))
-    assert n0 == 0 and back.vertices == (0, 1, 2, 3, 4, 5)
-    n0, back = h.reroot_ray(g, h.GeodesicRay((-2, -1, 0, 1, 2, 3)))
-    assert back.vertices[-4:] == (0, 1, 2, 3)
-    assert all(h.distance(g, 0, v) == i for i, v in enumerate(back.vertices))
+    n0, back = h.reroot_ray(g, (2, 3, 4, 5))
+    assert n0 == 0 and back == (0, 1, 2, 3, 4, 5)
+    n0, back = h.reroot_ray(g, (-2, -1, 0, 1, 2, 3))
+    assert back[-4:] == (0, 1, 2, 3)
+    assert all(h.distance(g, 0, v) == i for i, v in enumerate(back))
 
 
 def test_reroot_prefix_too_short(graphs):
     with pytest.raises(h.PrefixTooShort):
-        h.reroot_ray(graphs["integers"], h.GeodesicRay((2, 1)))
+        h.reroot_ray(graphs["integers"], (2, 1))
 
 
 @pytest.mark.parametrize("family", list(FAMILY_SPECS))
@@ -408,23 +418,23 @@ def test_reroot_random_prefixes(graphs, family):
         if not ok:
             continue
         done += 1
-        n0, back = h.reroot_ray(g, h.GeodesicRay(tuple(vs)))
-        assert back.vertices[0] == g.basepoint
-        for i, v in enumerate(back.vertices):
+        n0, back = h.reroot_ray(g, tuple(vs))
+        assert back[0] == g.basepoint
+        for i, v in enumerate(back):
             assert h.distance(g, g.basepoint, v) == i
         tail = len(vs) - 1 - n0
-        assert back.vertices[-(tail + 1):] == tuple(vs[n0:])
+        assert back[-(tail + 1):] == tuple(vs[n0:])
 
 
 def test_busemann_monotone_along_ray(graphs):
     # non-increasing and bounded below by -d(o, y), per family
     for g in graphs.values():
-        ray = h.canonical_ray(g, 12)
+        ray = h.extend_ray(g, (g.basepoint,), 12)
         ld = h.layer_decomposition(g, 3)
         for y in ld.ball():
             prev = None
             dy = ld.depth_of(y)
-            for n, z in enumerate(ray.vertices):
+            for n, z in enumerate(ray):
                 b = h.distance(g, z, y) - n
                 assert b >= -dy
                 if prev is not None:

@@ -419,7 +419,7 @@ def test_sphere_quotient_explicit_radii(graphs):
 def test_ray_to_monotone_positive_spine(graphs):
     g = graphs["integers"]
     sq = h.sphere_quotient(g, bound=10)
-    up = h.GeodesicRay((0,), extension=lambda gg, vs, cands: vs[-1] + 1)
+    up = h.extend_ray(g, (0,), 1, choose=max)   # past 1, one candidate a step
     path = h.ray_to_monotone(g, sq, up)
     assert path.head == tuple(range(1, 11))
 
@@ -427,7 +427,7 @@ def test_ray_to_monotone_positive_spine(graphs):
 def test_ray_to_monotone_negative_spine(graphs):
     g = graphs["integers"]
     sq = h.sphere_quotient(g, bound=10)
-    down = h.canonical_ray(g, 10)
+    down = h.extend_ray(g, (0,), 10)
     path = h.ray_to_monotone(g, sq, down)
     assert path.head == tuple(range(-1, -11, -1))
 
@@ -435,22 +435,23 @@ def test_ray_to_monotone_negative_spine(graphs):
 def test_ray_to_monotone_half_line():
     g = half_line_graph()
     sq = h.sphere_quotient(g, bound=8)
-    path = h.ray_to_monotone(g, sq, h.GeodesicRay((0, 1)))
+    path = h.ray_to_monotone(g, sq, (0, 1))
     assert path.head == tuple(range(1, 9))
 
 
 def test_ray_to_monotone_requires_tags(graphs):
     with pytest.raises(ValueError):
         h.ray_to_monotone(graphs["integers"], corpus.two_spine(),
-                          h.canonical_ray(graphs["integers"], 5))
+                          h.extend_ray(graphs["integers"], (0,), 5))
 
 
 def test_ray_too_short_when_extension_fails():
-    g = h.explicit_graph(list(range(6)), [[i, i + 1] for i in range(5)], 0)
-    sq = h.sphere_quotient(g, radii=[1, 2, 3, 4, 5])
-    stuck = h.GeodesicRay((0, 1), extension=lambda gg, vs, cands: None)
+    # 0-1-3-4-5 with a leaf 2 on 1: the least ray (0, 1, 2) dead-ends at 2
+    g = h.explicit_graph(list(range(6)),
+                         [[0, 1], [1, 2], [1, 3], [3, 4], [4, 5]], 0)
+    sq = h.sphere_quotient(g, radii=[1, 3, 4])
     with pytest.raises(h.RayTooShort):
-        h.ray_to_monotone(g, sq, stuck)
+        h.ray_to_monotone(g, sq, (0, 1, 2))
 
 
 def test_ray_to_monotone_keeps_budget_errors():
@@ -459,7 +460,7 @@ def test_ray_to_monotone_keeps_budget_errors():
     g = h.cayley_graph(h.GroupSpec("integers", generators=(-3, -2, 2, 3)))
     sq = h.sphere_quotient(g, bound=30)
     with pytest.raises(h.BudgetExhausted):
-        h.ray_to_monotone(g, sq, h.GeodesicRay((0,)), budget=20)
+        h.ray_to_monotone(g, sq, (0,), budget=20)
 
 
 def test_monotone_ray_roundtrip(graphs):
@@ -473,5 +474,5 @@ def test_monotone_ray_roundtrip(graphs):
             path = h.MonotonePath(0, names)
             ray = h.monotone_to_ray(g, sq, path)
             h.validate_ray(g, ray)
-            assert ray.vertices[0] == g.basepoint
+            assert ray[0] == g.basepoint
             assert h.ray_to_monotone(g, sq, ray) == path

@@ -27,6 +27,7 @@ EDGE_SPEC = {"kind": "explicit", "vertices": [0, 1], "edges": [[0, 1]],
 HALL_SPEC = {"kind": "layered",
              "period": {"layers": [["a", "b"]], "edges": []},
              "wrap": [["a", "a"], ["b", "a"]]}
+TWO_LAYERS = {"kind": "layered", "layers": [["a"], ["a"]], "edges": [[0, "a", "a"]]}
 
 
 # ---------------------------------------------------------------- spec loading
@@ -112,6 +113,17 @@ def test_cli_growth_free_group_truncates(tmp_path, capsys):
     report = json.loads(out)
     assert report["verdict"] == "not-linear"
     assert report["truncated"] is True
+
+
+def test_cli_growth_budget_truncates_the_report(tmp_path, capsys):
+    # |B_1| = 5 fits a budget of 10 and |B_2| = 13 does not
+    path = write_spec(tmp_path, "l.json", LATTICE_SPEC)
+    code, out = run_cli(capsys, "growth", path, "--budget", "10")
+    assert code == 0
+    report = json.loads(out)
+    assert report["radius"] == 1
+    assert report["truncated"] is True
+    assert report["sphere_sizes"] == [1, 4]
 
 
 def test_cli_horo_counts(tmp_path, capsys):
@@ -272,6 +284,10 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     # still answers (it exited 6 on the first PrefixTooShort)
     d3 = write_spec(tmp_path, "d3.json", D3_SPEC)
     assert main(["reroot", d3, "--depth", "10", "--ball", "4"]) == 0
+    # at --ball 1 every sampled stabilizer value is zero: TrivialImage, exit 7
+    capsys.readouterr()
+    assert main(["orbit", d3, "--ball", "1"]) == 7
+    assert "all sampled stabilizer values are zero" in capsys.readouterr().err
     # malformed spec shapes: exit 3, not a raw TypeError or AttributeError
     for command, spec in [
             ("growth", {**Z_SPEC, "generators": 5}),
@@ -288,6 +304,14 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {"kind": "layered", "layers": [["a", 1]], "edges": []}),
             ("cover", {"kind": "layered", "period": {"layers": [["a", 1]]}}),
             ("growth", {**DIHEDRAL_SPEC, "generators": [[0, 1.0], [1, 1]]}),
+            # a bool is no layer index (true was read as step 1)
+            ("cover", {"kind": "layered", "layers": [["a"], ["a"], ["a"]],
+                       "edges": [[0, "a", "a"], [True, "a", "a"]]}),
+            # a truncation mixed with a periodic key (one half was dropped)
+            ("cover", {**HALL_SPEC, **TWO_LAYERS}),
+            ("cover", {**TWO_LAYERS, "wrap": [["a", "a"]]}),
+            ("cover", {**TWO_LAYERS, "prefix": {"layers": [["s"]]}}),
+            ("cover", {**TWO_LAYERS, "seam": [["s", "a"]]}),
             # each command on each spec kind it refuses
             ("growth", HALL_SPEC), ("reroot", HALL_SPEC),
             ("orbit", EDGE_SPEC), ("orbit", HALL_SPEC), ("cover", EDGE_SPEC)]:
