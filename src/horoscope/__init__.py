@@ -69,12 +69,10 @@ from .npartite import (
     HallFailureWitness,
     LayeredGraph,
     MonotonePath,
-    PruneResult,
     Stride,
     TraceNode,
     build_layered,
     find_hall_failure,
-    layer_matching,
     monotone_cover,
     monotone_reachability,
     monotone_to_ray,

@@ -464,8 +464,7 @@ class HorofunctionApprox:
 
 
 def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window: int,
-                        budget: int = DEFAULT_BUDGET,
-                        max_depth: int | None = None) -> HorofunctionApprox:
+                        budget: int = DEFAULT_BUDGET) -> HorofunctionApprox:
     """Follow b_{z_n} along the ray until every value in B_r has been
     constant for ``window`` consecutive steps.
 
@@ -480,8 +479,7 @@ def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window:
         raise ValueError("need r >= 0 and window >= 1")
     ld = layer_decomposition(g, r, budget)
     ball = ld.ball()
-    if max_depth is None:
-        max_depth = 50 * (r + 1) + 10 * window
+    max_depth = 50 * (r + 1) + 10 * window
 
     current = {y: ld.depth_of(y) for y in ball}  # b_o(y) = d(o, y)
     run_start = {y: 0 for y in ball}

@@ -15,7 +15,7 @@ infinite monotone paths, "matchings exist for all large strides", and the
 funnel (Hall-failure) recursion are all decided exactly there, because the
 one-period reachability relation is a boolean matrix whose powers repeat.
 On truncations, "infinite" is approximated by "spanning the truncation" and
-every result is flagged approximate.
+every cover is flagged approximate.
 
 There is one relation type: the successor map ``{name: frozenset(names)}``
 keyed by the names of the source layer, in layer order.  A LayeredGraph
@@ -31,6 +31,10 @@ The monotone cover is the showpiece: k monotone paths such that every
 infinite monotone path shares infinitely many vertices with one of them,
 computed by induction on k via perfect matchings when they exist and via a
 Hall-failure split into a funnel part and its complement when they do not.
+``prune_to_spanning`` returns the pruned graph; the cover alone picks the
+layers its recursion runs on (``_uniform_selection``: the least-size
+layers, and a periodic graph's period without its prefix), and
+``_expand_paths`` lifts the paths back through that selection.
 One recursion, ``_cover_uniform``, serves both modes.  It asks
 ``_matching_selection`` for a layer selection with matchings at every
 consecutive pair (a Stride, or a tuple of truncation layers) or for the Hall
@@ -169,17 +173,8 @@ class LayeredGraph:
         return len(self.layers) - self.period_length
 
     @property
-    def prefix_layers(self) -> tuple[tuple[Name, ...], ...]:
-        return self.layers[:self.num_prefix]
-
-    @property
     def period_layers(self) -> tuple[tuple[Name, ...], ...]:
         return self.layers[self.num_prefix:]
-
-    @property
-    def num_layers(self) -> int | None:
-        """Layer count for truncations, None for periodic graphs."""
-        return None if self.is_periodic else len(self.layers)
 
     @property
     def k(self) -> int:
@@ -259,33 +254,44 @@ def build_layered(spec: dict) -> LayeredGraph:
             steps[j].append((a, b))
         return steps
 
-    mixed = [k for k in ("period", "wrap", "prefix", "seam") if k in spec]
-    if "layers" in spec and mixed:
-        raise MalformedSpec('truncation key "layers" cannot be mixed with '
-                            + ", ".join(f'"{k}"' for k in mixed))
     period = section("period")
     if period is not None:
+        refuse_unread_keys(spec, "kind period wrap prefix seam", "periodic layered spec")
+        refuse_unread_keys(period, "layers edges", '"period"')
         p_layers = name_lists(period.get("layers"), "period.layers")
         if not p_layers or any(not layer for layer in p_layers):
             raise MalformedSpec("period.layers must be nonempty lists of names")
         p_steps = parse_edges(period.get("edges", []), len(p_layers), "period")
         wrap = name_lists(spec.get("wrap", []), "wrap", 2)
         prefix = section("prefix")
+        f_layers, f_steps = [], []
         if prefix is not None:
+            refuse_unread_keys(prefix, "layers edges", '"prefix"')
             f_layers = name_lists(prefix.get("layers") or [], "prefix.layers")
             f_steps = parse_edges(prefix.get("edges", []), len(f_layers), "prefix")
-            seam = name_lists(spec.get("seam", []), "seam", 2)
-            return LayeredGraph.periodic(p_layers, p_steps, wrap,
-                                         prefix_layers=f_layers,
-                                         prefix_steps=f_steps, seam=seam)
-        return LayeredGraph.periodic(p_layers, p_steps, wrap)
+        # a prefix without a seam has an empty one; a seam without a prefix
+        # reaches the refusal in LayeredGraph.periodic
+        seam = spec.get("seam", [] if prefix is not None else None)
+        return LayeredGraph.periodic(
+            p_layers, p_steps, wrap, prefix_layers=f_layers, prefix_steps=f_steps,
+            seam=None if seam is None else name_lists(seam, "seam", 2))
 
+    refuse_unread_keys(spec, "kind layers edges", "truncation layered spec")
     layers = spec.get("layers")
     if not layers:
         raise MalformedSpec('truncation spec needs a nonempty "layers" list')
     name_lists(layers, "layers")
     steps = parse_edges(spec.get("edges", []), len(layers), "layers")
     return LayeredGraph.truncation(layers, steps)
+
+
+def refuse_unread_keys(obj: dict, keys: str, where: str) -> None:
+    """MalformedSpec naming the keys of ``obj`` outside ``keys`` (a
+    space-separated list), so that no misspelt key is dropped unread."""
+    unread = [key for key in obj if key not in keys.split()]
+    if unread:
+        raise MalformedSpec(f"{where} reads only {keys.replace(' ', ', ')}; got "
+                            + ", ".join(f'"{key}"' for key in unread))
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +407,8 @@ def monotone_reachability(lg: LayeredGraph, selection) -> LayeredGraph:
         idx = layers = tuple(selection)
         if not idx or any(b <= a for a, b in zip(idx, idx[1:])) or idx[0] < 0:
             raise MalformedSubsequence(f"selection must be strictly increasing, got {idx}")
-        if not lg.is_periodic and idx[-1] >= lg.num_layers:
-            raise MalformedSubsequence(f"selection exceeds truncation depth {lg.num_layers}")
+        if not lg.is_periodic and idx[-1] >= len(lg.layers):
+            raise MalformedSubsequence(f"selection exceeds truncation depth {len(lg.layers)}")
         period = 0
     return LayeredGraph(tuple(map(lg.layer, layers)),
                         tuple(relation_between(lg, s, t) for s, t in zip(idx, idx[1:])),
@@ -412,22 +418,6 @@ def monotone_reachability(lg: LayeredGraph, selection) -> LayeredGraph:
 
 # ---------------------------------------------------------------------------
 # pruning
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    """Pruned graph plus the equal-size layer selection, when sizes differ.
-
-    ``selection`` is None when all surviving layers already share one
-    cardinality; otherwise it selects the layers of limit-inferior size
-    (a Stride for periodic graphs, an index tuple for truncations).
-    ``approximate`` marks truncation mode, where "lies on an infinite
-    monotone path" is approximated by "lies on a spanning path".
-    """
-
-    graph: LayeredGraph
-    selection: Any
-    approximate: bool
 
 
 def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
@@ -440,50 +430,32 @@ def _restricted(lg: LayeredGraph, keep) -> LayeredGraph:
     return LayeredGraph(layers, steps, lg.period_length, lg.layer_tags)
 
 
-def prune_to_spanning(lg: LayeredGraph) -> PruneResult:
-    """Delete every vertex that lies on no infinite monotone path.
+def prune_to_spanning(lg: LayeredGraph) -> LayeredGraph:
+    """The subgraph on the vertices that lie on an infinite monotone path.
 
     Periodic mode is exact: a vertex survives iff it can reach, at the next
     block boundary, a name from which arbitrarily long walks exist in the
     one-period reachability relation.  Truncation mode keeps the vertices on
-    paths spanning the full truncation and flags the result approximate.
+    paths spanning the full truncation, an approximation in the depth.
     Raises EmptyGraph when nothing survives.
     """
     if lg.is_periodic:
-        return _prune_periodic(lg)
-    return _prune_truncation(lg)
-
-
-def _prune_periodic(lg: LayeredGraph) -> PruneResult:
-    p, b = lg.num_prefix, lg.period_length
-    one_period = relation_between(lg, p, p + b)
-    # names with arbitrarily long forward walks: co-inductive trimming
-    alive = set(lg.period_layers[0])
-    while True:
-        nxt = {u for u in alive if one_period[u] & alive}
-        if nxt == alive:
-            break
-        alive = nxt
-    if not alive:
-        raise EmptyGraph("no infinite monotone path survives pruning")
-    # walk back from block layer 0 of the next copy; at layer p this gives
-    # alive again, since a name reaching alive in one period is never trimmed
-    keep = _reaching(lg, 0, p + b, alive)[:-1]
-
-    sizes = [len(s) for s in keep]
-    period_sizes = sizes[p:]
-    if len(set(sizes)) <= 1:
-        selection = None
-    elif len(set(period_sizes)) == 1:
-        selection = Stride(p, 1)
-    else:
-        j_star = min(range(b), key=lambda j: (period_sizes[j], j))
-        selection = Stride(p + j_star, b)
-    return PruneResult(_restricted(lg, keep), selection, approximate=False)
-
-
-def _prune_truncation(lg: LayeredGraph) -> PruneResult:
-    d = lg.num_layers
+        p, b = lg.num_prefix, lg.period_length
+        one_period = relation_between(lg, p, p + b)
+        # names with arbitrarily long forward walks: co-inductive trimming
+        alive = set(lg.period_layers[0])
+        while True:
+            nxt = {u for u in alive if one_period[u] & alive}
+            if nxt == alive:
+                break
+            alive = nxt
+        if not alive:
+            raise EmptyGraph("no infinite monotone path survives pruning")
+        # walk back from block layer 0 of the next copy; at layer p this
+        # gives alive again, since a name reaching alive in one period is
+        # never trimmed
+        return _restricted(lg, _reaching(lg, 0, p + b, alive)[:-1])
+    d = len(lg.layers)
     fwd = _reaching(lg, 0, d - 1, set(lg.layer(d - 1)))
     back = [set(lg.layer(0))]
     for i in range(d - 1):
@@ -492,26 +464,27 @@ def _prune_truncation(lg: LayeredGraph) -> PruneResult:
     keep = [f & bk for f, bk in zip(fwd, back)]
     if not any(keep):
         raise EmptyGraph("no monotone path spans the truncation")
-    sizes = [len(k) for k in keep]
-    if len(set(sizes)) <= 1:
-        selection = None
-    else:
-        smallest = min(sizes)
-        selection = tuple(i for i in range(d) if sizes[i] == smallest)
-    return PruneResult(_restricted(lg, keep), selection, approximate=True)
+    return _restricted(lg, keep)
+
+
+def _uniform_selection(g: LayeredGraph):
+    """Layers of a pruned graph that the cover recursion runs on, or None for
+    all of them: a truncation's least-size layers; on a periodic graph the
+    whole period, Stride(P, 1), when its layer sizes agree (the recursion
+    runs prefixless), else the first least-size phase once per period."""
+    sizes = [len(layer) for layer in g.layers]
+    if not g.is_periodic:
+        least = min(sizes)
+        return None if max(sizes) == least else tuple(
+            i for i, size in enumerate(sizes) if size == least)
+    p = g.num_prefix
+    if len(set(sizes[p:])) > 1:
+        return Stride(sizes.index(min(sizes[p:]), p), g.period_length)
+    return Stride(p, 1) if p else None
 
 
 # ---------------------------------------------------------------------------
 # matchings along layers
-
-
-def layer_matching(lg: LayeredGraph, j: int):
-    """Perfect matching between layers j and j+1, or the Hall certificate."""
-    left, right = lg.layer(j), lg.layer(j + 1)
-    if len(left) != len(right):
-        raise UnequalLayers(
-            f"layers {j} and {j + 1} have sizes {len(left)} != {len(right)}")
-    return matching_or_violator(left, right, lg.forward_map(j))
 
 
 def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
@@ -520,11 +493,16 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
 
     Periodic mode composes the block matchings (plus wrap) into a
     permutation of the first block layer; each path then follows one
-    permutation cycle forever (see ``_walk_matchings``).  Raises NoMatching
-    (with the Hall certificate) at the first failing pair.
+    permutation cycle forever (see ``_walk_matchings``).  Raises
+    UnequalLayers at the first pair of unequal sizes, and NoMatching (with
+    the Hall certificate) at the first pair without a perfect matching.
     """
     def need(j):
-        res = layer_matching(lg, j)
+        left, right = lg.layer(j), lg.layer(j + 1)
+        if len(left) != len(right):
+            raise UnequalLayers(
+                f"layers {j} and {j + 1} have sizes {len(left)} != {len(right)}")
+        res = matching_or_violator(left, right, lg.forward_map(j))
         if isinstance(res, HallViolator):
             raise NoMatching(f"no perfect matching at layer pair ({j}, {j + 1})",
                              certificate=res)
@@ -657,7 +635,7 @@ def find_hall_failure(lg: LayeredGraph) -> HallFailureWitness | None:
     if lg.is_periodic:
         res = _stride_analysis(lg)
         return res if isinstance(res, HallFailureWitness) else None
-    for n in range(lg.num_layers - 1):
+    for n in range(len(lg.layers) - 1):
         res = _truncation_witness(lg, n)
         if isinstance(res, HallFailureWitness):
             return res
@@ -673,7 +651,7 @@ def _truncation_witness(lg: LayeredGraph, n: int) -> tuple | HallFailureWitness 
     group, ties going to the least (U, |V|), so the choice is deterministic.
     """
     classes: dict = {}
-    for m in range(n + 1, lg.num_layers):
+    for m in range(n + 1, len(lg.layers)):
         if len(lg.layer(m)) != len(lg.layer(n)):
             continue
         cert = matching_or_violator(lg.layer(n), lg.layer(m),
@@ -744,22 +722,22 @@ def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     return tuple(out)
 
 
-def _expand_path(parent: LayeredGraph, selection, path: MonotonePath,
-                 segments: dict) -> MonotonePath:
-    """Lift a path through ``monotone_reachability(parent, selection)``: each
+def _expand_paths(parent: LayeredGraph, selection, paths) -> list[MonotonePath]:
+    """Lift paths through ``monotone_reachability(parent, selection)``: each
     reduced edge becomes its least realizing monotone segment in the parent.
-    Paths lifted through one (parent, selection) share the ``segments``
-    memo.  A segment (layer i, u) -> (layer j, v) reads only layers i .. j,
-    so (stored index of i, j - i, u, v) fixes it: the stored index is i's
-    phase past a periodic prefix, and i itself everywhere else."""
+    The paths share one segment memo.  A segment (layer i, u) -> (layer j, v)
+    reads only layers i .. j, so (stored index of i, j - i, u, v) fixes it:
+    the stored index is i's phase past a periodic prefix, and i itself
+    everywhere else."""
     if isinstance(selection, Stride):
         to_parent = lambda t: selection.start + t * selection.stride
     else:
         to_parent = selection.__getitem__
+    segments: dict = {}
 
-    def lift(t0, steps):
-        """Parent names of reduced steps t0 .. t0 + steps - 1, each segment
-        without its last name."""
+    def lift(path, t0, steps):
+        """Parent names of reduced steps t0 .. t0 + steps - 1 of ``path``,
+        each segment without its last name."""
         names = []
         for t in range(t0, t0 + steps):
             i, j, u, v = to_parent(t), to_parent(t + 1), path.name_at(t), path.name_at(t + 1)
@@ -769,15 +747,20 @@ def _expand_path(parent: LayeredGraph, selection, path: MonotonePath,
             names += segments[key]
         return tuple(names)
 
-    start = to_parent(path.start)
-    if not path.infinite:
-        return MonotonePath(start, lift(path.start, len(path.head) - 1) + path.head[-1:])
-    # infinite paths come with a Stride; unroll the cycle until its
-    # segments line up with the parent period
-    bp = parent.period_length
-    repeat = bp // gcd(bp, len(path.cycle) * selection.stride)
-    return MonotonePath(start, lift(path.start, len(path.head)),
-                        lift(path.start + len(path.head), len(path.cycle) * repeat))
+    def expand(path):
+        start = to_parent(path.start)
+        if not path.infinite:
+            return MonotonePath(start, lift(path, path.start, len(path.head) - 1)
+                                + path.head[-1:])
+        # infinite paths come with a Stride; unroll the cycle until its
+        # segments line up with the parent period
+        bp = parent.period_length
+        repeat = bp // gcd(bp, len(path.cycle) * selection.stride)
+        return MonotonePath(start, lift(path, path.start, len(path.head)),
+                            lift(path, path.start + len(path.head),
+                                 len(path.cycle) * repeat))
+
+    return [expand(path) for path in paths]
 
 
 def _extend_back(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
@@ -812,7 +795,7 @@ def _extend_forward(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
         return path
     names = list(path.head)
     end = path.end
-    while end < lg.num_layers - 1:
+    while end < len(lg.layers) - 1:
         nxt = lg.forward_map(end)[names[-1]]
         if not nxt:
             break
@@ -833,27 +816,24 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     them infinitely often (for truncations: every spanning path meets one,
     approximately in the depth).
 
-    Pipeline: prune, pass to an equal-size layer subsequence when needed,
-    then run the one cover recursion, ``_cover_uniform``, on the uniform
-    graph: take the matching branch along the ``_matching_selection`` when
-    one exists, otherwise split along the Hall-failure witness into the
-    funnel Γ_A (the V sets) and its complement Γ_B, solve both by induction,
-    and lift everything back to the input graph.  k is the uniform layer
-    size after pruning; the result paths live in the original layer
-    indexing.
+    Pipeline: prune, pass to the ``_uniform_selection`` of the pruned graph
+    (equal-size layers, and no prefix on a periodic graph), then run the one
+    cover recursion, ``_cover_uniform``, on that uniform graph: take the
+    matching branch along the ``_matching_selection`` when one exists,
+    otherwise split along the Hall-failure witness into the funnel Γ_A (the
+    V sets) and its complement Γ_B, solve both by induction, and lift
+    everything back to the input graph.  k is the uniform layer size after
+    pruning; the result paths live in the original layer indexing.
     """
-    pr = prune_to_spanning(lg)
-    g0, sel = pr.graph, pr.selection
-    if sel is None and g0.is_periodic and g0.num_prefix > 0:
-        sel = Stride(g0.num_prefix, 1)      # the recursion runs prefixless
+    g0 = prune_to_spanning(lg)
+    sel = _uniform_selection(g0)
     g1 = g0 if sel is None else monotone_reachability(g0, sel)
     paths1, trace = _cover_uniform(g1)
     if sel is not None:
-        segments: dict = {}
-        paths1 = [_expand_path(g0, sel, q, segments) for q in paths1]
+        paths1 = _expand_paths(g0, sel, paths1)
     paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
     return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
-                       approximate=pr.approximate)
+                       approximate=not lg.is_periodic)
 
 
 def _matching_selection(g: LayeredGraph) -> tuple | HallFailureWitness:
@@ -868,7 +848,7 @@ def _matching_selection(g: LayeredGraph) -> tuple | HallFailureWitness:
             return res
         return res[0], _walk_matchings(g.layer(res[0].start), [], [res[1].as_dict()])
     chain, head_steps = [0], []
-    while chain[-1] < g.num_layers - 1:
+    while chain[-1] < len(g.layers) - 1:
         res = _truncation_witness(g, chain[-1])
         if isinstance(res, HallFailureWitness):
             return res              # no deeper layer matches the chain's end
@@ -894,9 +874,7 @@ def _cover_uniform(g: LayeredGraph):
     if not isinstance(witness, HallFailureWitness):
         sel, pn = witness
         selection = ("stride", *sel) if isinstance(sel, Stride) else ("layers", sel)
-        segments: dict = {}
-        return ([_expand_path(g, sel, q, segments) for q in pn],
-                TraceNode(kind="match", k=k, selection=selection))
+        return _expand_paths(g, sel, pn), TraceNode(kind="match", k=k, selection=selection)
 
     ms = witness.witness_layers
     sel = Stride(ms[0], ms[1] - ms[0]) if g.is_periodic else ms
@@ -909,7 +887,7 @@ def _cover_uniform(g: LayeredGraph):
         """Paths and trace of one part, and the layer-0 names it accounts for."""
         try:
             if g.is_periodic:
-                pruned = prune_to_spanning(_restricted(gm, layer_sets)).graph
+                pruned = prune_to_spanning(_restricted(gm, layer_sets))
                 return (*_cover_uniform(pruned), set(pruned.layers[0]))
             res = monotone_cover(_restricted(gm, layer_sets))
         except EmptyGraph:
@@ -926,8 +904,7 @@ def _cover_uniform(g: LayeredGraph):
         pad_paths = [_greedy_walk(gm.forward_map(0), u) for u in padded]
     else:
         pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
-    segments = {}
-    paths = [_expand_path(g, sel, q, segments) for q in paths_a + paths_b + pad_paths]
+    paths = _expand_paths(g, sel, paths_a + paths_b + pad_paths)
     trace = TraceNode(kind="split", k=k, witness=witness, v=witness.sizes[1],
                       w=k - witness.sizes[1], children=(trace_a, trace_b),
                       padded=padded)
@@ -952,7 +929,7 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     Returns {D: minimum} in increasing D, None when no spanning path reaches
     depth D; a D past a truncation's last layer is left out, {} if all are.
     """
-    depths = sorted(dd for dd in depths if lg.is_periodic or dd < lg.num_layers)
+    depths = sorted(dd for dd in depths if lg.is_periodic or dd < len(lg.layers))
     if not depths:
         return {}
     top = depths[-1]

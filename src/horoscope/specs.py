@@ -39,12 +39,14 @@ from .npartite import (
     MonotonePath,
     TraceNode,
     build_layered,
+    refuse_unread_keys,
 )
 
 SCHEMA = "horoscope/1"
 
 
 def group_spec_from_dict(spec: dict) -> GroupSpec:
+    refuse_unread_keys(spec, "kind family generators modulus", "cayley spec")
     family = spec.get("family")
     if not isinstance(family, str):
         raise MalformedSpec('cayley spec needs a "family" string')
@@ -61,6 +63,7 @@ def graph_from_spec(spec: dict, budget: int = DEFAULT_BUDGET) -> RootedGraph:
     if kind == "cayley":
         return cayley_graph(group_spec_from_dict(spec), budget)
     if kind == "explicit":
+        refuse_unread_keys(spec, "kind vertices edges basepoint", "explicit spec")
         for key in ("vertices", "edges", "basepoint"):
             if key not in spec:
                 raise MalformedSpec(f'explicit spec needs "{key}"')

@@ -120,7 +120,8 @@ def test_a5_matching_partition_equivalence():
         sizes = {len(lg.layer(i)) for i in range(41)}
         if len(sizes) != 1:
             continue
-        if any(isinstance(h.layer_matching(lg, j), h.HallViolator)
+        if any(isinstance(h.matching_or_violator(lg.layer(j), lg.layer(j + 1),
+                                                 lg.forward_map(j)), h.HallViolator)
                for j in range(40)):
             continue
         checked += 1

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import horoscope as h
+from horoscope.npartite import _uniform_selection
 from horoscope.specs import cover_jsonable, witness_jsonable
 
 import corpus
@@ -143,12 +144,12 @@ def test_cover_deterministic():
 def test_reachability_functoriality():
     # paths in a reachability reduction lift to monotone paths of the parent
     # hitting the same vertices at the selected layers
-    from horoscope.npartite import _expand_path
+    from horoscope.npartite import _expand_paths
 
     lg = corpus.two_spine_crossing()
     sel = h.Stride(0, 2)
-    for q in h.partition_by_matchings(h.monotone_reachability(lg, sel)):
-        lifted = _expand_path(lg, sel, q, {})
+    paths = h.partition_by_matchings(h.monotone_reachability(lg, sel))
+    for q, lifted in zip(paths, _expand_paths(lg, sel, paths)):
         lifted.validate(lg, depth=24)
         for t in range(12):
             assert lifted.name_at(2 * t) == q.name_at(t)
@@ -157,11 +158,11 @@ def test_reachability_functoriality():
 def test_expand_path_realigns_short_cycles():
     # a cycle shorter than the parent period must be unrolled until the
     # segment pattern repeats
-    from horoscope.npartite import _expand_path
+    from horoscope.npartite import _expand_paths
 
     lg = corpus.two_spine_crossing()          # period 2
     spine = h.MonotonePath(0, (), ("a",))     # cycle length 1
-    lifted = _expand_path(lg, h.Stride(0, 1), spine, {})
+    lifted, = _expand_paths(lg, h.Stride(0, 1), [spine])
     assert len(lifted.cycle) == 2
     lifted.validate(lg, depth=24)
     assert all(lifted.name_at(i) == "a" for i in range(24))
@@ -191,19 +192,20 @@ def random_prefixed_periodic(seed):
 
 
 def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
-    # the cover shares one segment memo across the paths it lifts through
-    # one (parent, selection); a fresh memo per path must give the same lift
+    # the cover lifts the paths through one (parent, selection) in one call,
+    # which shares one segment memo among them; a path lifted alone must
+    # come out the same
     from horoscope import npartite
 
-    real = npartite._expand_path
+    real = npartite._expand_paths
     calls = []
 
-    def recording(parent, selection, path, segments):
-        lifted = real(parent, selection, path, segments)
-        calls.append((parent, selection, path, id(segments), lifted))
+    def recording(parent, selection, paths):
+        lifted = real(parent, selection, paths)
+        calls.append((parent, selection, paths, lifted))
         return lifted
 
-    monkeypatch.setattr(npartite, "_expand_path", recording)
+    monkeypatch.setattr(npartite, "_expand_paths", recording)
     graphs = [lg for _, lg in corpus.corpus(0)]
     graphs += [random_prefixed_periodic(seed) for seed in range(200)]
     graphs += [random_truncation(seed) for seed in range(100)]
@@ -212,11 +214,11 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
             h.monotone_cover(lg)
         except h.HoroscopeError:
             pass
-    for parent, selection, path, _, lifted in calls:
-        assert real(parent, selection, path, {}) == lifted
+    for parent, selection, paths, lifted in calls:
+        assert [real(parent, selection, [q])[0] for q in paths] == lifted
     assert any(isinstance(sel, tuple) for _, sel, *_ in calls)
     assert any(parent.num_prefix for parent, *_ in calls)
-    assert len(calls) > 2 * len({memo for *_, memo, _ in calls})
+    assert sum(len(paths) for _, _, paths, _ in calls) > 2 * len(calls)
     # random walks along strides the cover never picks: their segments
     # start in every phase, and from layer 0 inside the prefix
     rng = random.Random(5)
@@ -224,7 +226,7 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
         lg = random_prefixed_periodic(seed)
         for sel in (h.Stride(0, 3), h.Stride(1, 2)):
             reduced = h.monotone_reachability(lg, sel)
-            shared: dict = {}
+            walks = []
             for _ in range(5):
                 walk = [rng.choice(reduced.layer(0))]
                 for t in range(8):
@@ -232,10 +234,10 @@ def test_shared_segment_memo_lifts_the_same_paths(monkeypatch):
                     if not nxt:
                         break
                     walk.append(rng.choice(nxt))
-                q = h.MonotonePath(0, tuple(walk))
-                lifted = real(lg, sel, q, shared)
-                assert lifted == real(lg, sel, q, {})
-                for t, name in enumerate(walk):
+                walks.append(h.MonotonePath(0, tuple(walk)))
+            for q, lifted in zip(walks, real(lg, sel, walks)):
+                assert lifted == real(lg, sel, [q])[0]
+                for t, name in enumerate(q.head):
                     assert lifted.name_at(sel.start + t * sel.stride) == name
 
 
@@ -303,8 +305,8 @@ def test_multi_phase_hall_failure():
     # Hall fails at both phases of a period-2 block with nothing pruned, so
     # the stride analysis runs on the two-phase graph directly
     lg = corpus.funnel_both_phases()
-    pr = h.prune_to_spanning(lg)
-    assert pr.graph.layers == lg.layers and pr.selection is None
+    pruned = h.prune_to_spanning(lg)
+    assert pruned.layers == lg.layers and _uniform_selection(pruned) is None
     w = h.find_hall_failure(lg)
     assert w.base_layer == 0
     assert w.U == ("a", "b") and w.sizes == (2, 1)
@@ -325,13 +327,13 @@ def test_prefix_funnel_sheds_prefix_then_splits():
 @pytest.mark.parametrize("wrap", [[("a", "a"), ("b", "a")], [("a", "a"), ("b", "b")]],
                          ids=["funnel", "spines"])
 def test_uniform_prefix_runs_the_recursion_prefixless(wrap):
-    # every surviving layer has the block's size, so pruning selects no
-    # layers; the recursion still runs on the period alone, so its trace is
+    # every surviving layer has the block's size, so the cover selects the
+    # whole period: the recursion runs on the period alone, and its trace is
     # that of the graph without the prefix
     lg = h.LayeredGraph.periodic(
         [["a", "b"]], [], wrap, prefix_layers=[["s", "t"]], prefix_steps=[],
         seam=[("s", "a"), ("t", "b")])
-    assert h.prune_to_spanning(lg).selection is None and lg.num_prefix == 1
+    assert _uniform_selection(h.prune_to_spanning(lg)) == h.Stride(1, 1)
     res = h.monotone_cover(lg)
     bare = h.LayeredGraph.periodic([["a", "b"]], [], wrap)
     assert res.trace == h.monotone_cover(bare).trace
@@ -344,7 +346,7 @@ def test_uniform_prefix_runs_the_recursion_prefixless(wrap):
 
 def test_reachability_crossing_the_prefix():
     red = h.monotone_reachability(corpus.prefix_feeder(), h.Stride(0, 2))
-    assert red.prefix_layers == (("s",),)
+    assert red.layers[:red.num_prefix] == (("s",),)
     assert red.edge_pairs(0) == {("s", "a"), ("s", "b")}         # the seam
     assert red.period_layers == (("a", "b"),)
     assert red.edge_pairs(1) == {("a", "a"), ("b", "b")}         # the wrap
@@ -389,7 +391,7 @@ def test_cover_catches_long_random_walks():
         except h.EmptyGraph:
             continue
         covered_cases += 1
-        pruned = h.prune_to_spanning(lg).graph
+        pruned = h.prune_to_spanning(lg)
         for _ in range(5):
             start_layer = rng.randrange(0, 3)
             names = pruned.layer(start_layer)
@@ -561,7 +563,7 @@ def golden_record(lg):
               if res.k <= 4 else None)
     return [cover_jsonable(res), minima,
             witness(attempt(lambda: h.find_hall_failure(lg))),
-            witness(attempt(lambda: h.find_hall_failure(h.prune_to_spanning(lg).graph)))]
+            witness(attempt(lambda: h.find_hall_failure(h.prune_to_spanning(lg))))]
 
 
 def test_golden_cover_digest():

@@ -1,7 +1,7 @@
 import pytest
 
 import horoscope as h
-from horoscope.npartite import _cover_uniform, relation_between
+from horoscope.npartite import _cover_uniform, _uniform_selection, relation_between
 
 import corpus
 from corpus import enumerate_spanning_paths
@@ -119,40 +119,40 @@ def test_prune_removes_isolated_vertex():
     layers[3] = ["a", "b", "junk"]
     steps = [[("a", "a"), ("b", "b")]] * 4
     lg = h.LayeredGraph.truncation(layers, steps)
-    pr = h.prune_to_spanning(lg)
-    assert pr.approximate
-    assert "junk" in lg.layer(3) and "junk" not in pr.graph.layer(3)
-    assert pr.graph.layer(3) == ("a", "b")
-    assert pr.selection is None
+    pruned = h.prune_to_spanning(lg)
+    assert not pruned.is_periodic
+    assert "junk" in lg.layer(3) and "junk" not in pruned.layer(3)
+    assert pruned.layer(3) == ("a", "b")
+    assert _uniform_selection(pruned) is None
 
 
 def test_prune_keeps_matched_spines():
     lg = corpus.two_spine()
-    pr = h.prune_to_spanning(lg)
-    assert pr.graph == lg
-    assert pr.graph.layers == lg.layers
-    assert not pr.approximate
+    pruned = h.prune_to_spanning(lg)
+    assert pruned == lg
+    assert pruned.layers == lg.layers
+    assert pruned.is_periodic
 
 
 def test_prune_keeps_funnel_sources():
     # each b starts the infinite path (b, a, a, ...), so everything survives
     lg = corpus.hall_funnel()
-    pr = h.prune_to_spanning(lg)
-    assert pr.graph.layers == lg.layers
-    assert pr.graph.layer(0) == ("a", "b")
+    pruned = h.prune_to_spanning(lg)
+    assert pruned.layers == lg.layers
+    assert pruned.layer(0) == ("a", "b")
 
 
 def test_prune_detects_dead_period_name():
-    pr = h.prune_to_spanning(corpus.period2_funnel())
-    assert pr.graph.period_layers == (("a", "b"), ("x",))
-    assert pr.selection == h.Stride(1, 2)
+    pruned = h.prune_to_spanning(corpus.period2_funnel())
+    assert pruned.period_layers == (("a", "b"), ("x",))
+    assert _uniform_selection(pruned) == h.Stride(1, 2)
 
 
 def test_prune_prefix_sizes_trigger_selection():
     lg = corpus.prefix_feeder()
-    pr = h.prune_to_spanning(lg)
-    assert pr.graph.layers == lg.layers
-    assert pr.selection == h.Stride(2, 1)
+    pruned = h.prune_to_spanning(lg)
+    assert pruned.layers == lg.layers
+    assert _uniform_selection(pruned) == h.Stride(2, 1)
 
 
 def test_prune_empty_graph():
@@ -173,7 +173,7 @@ def test_prune_truncation_empty():
 def test_reachability_stride_one_is_identity():
     lg = corpus.two_spine_crossing()
     red = h.monotone_reachability(lg, h.Stride(0, 1))
-    assert red.unfold(8).prefix_layers == lg.unfold(8).prefix_layers
+    assert red.unfold(8).layers == lg.unfold(8).layers
     assert [red.edge_pairs(i) for i in range(8)] == \
         [lg.edge_pairs(i) for i in range(8)]
 
@@ -213,24 +213,26 @@ def test_reachability_rejects_bad_selection():
 # ---------------------------------------------------------------- matchings
 
 
-def test_layer_matching_identity():
-    lg = corpus.two_spine()
-    res = h.layer_matching(lg, 4)
-    assert res.as_dict() == {"a": "a", "b": "b"}
+def test_partition_walks_the_matching():
+    # the only matching of two spines is the identity, so each path stays on
+    # its spine
+    paths = h.partition_by_matchings(corpus.two_spine())
+    assert [[p.name_at(i) for i in range(6)] for p in paths] == [["a"] * 6, ["b"] * 6]
 
 
-def test_layer_matching_violator():
+def test_partition_truncation_hall_certificate():
     lg = h.LayeredGraph.truncation(
         [["u1", "u2"], ["v1", "v2"]], [[("u1", "v1"), ("u2", "v1")]])
-    res = h.layer_matching(lg, 0)
-    assert res.subset == ("u1", "u2")
-    assert res.neighborhood == ("v1",)
+    with pytest.raises(h.NoMatching) as info:
+        h.partition_by_matchings(lg)
+    assert info.value.certificate.subset == ("u1", "u2")
+    assert info.value.certificate.neighborhood == ("v1",)
 
 
-def test_layer_matching_unequal():
+def test_partition_unequal_layers():
     lg = h.LayeredGraph.truncation([["a"], ["x", "y"]], [[("a", "x")]])
     with pytest.raises(h.UnequalLayers):
-        h.layer_matching(lg, 0)
+        h.partition_by_matchings(lg)
 
 
 def test_partition_two_spines():
@@ -469,7 +471,7 @@ def test_monotone_ray_roundtrip(graphs):
     for family in ("integers", "ladder"):
         g = graphs[family]
         sq = h.sphere_quotient(g, bound=8)
-        depth = len(sq.prefix_layers) - 1
+        depth = len(sq.layers) - 1
         for names in enumerate_spanning_paths(sq, depth):
             path = h.MonotonePath(0, names)
             ray = h.monotone_to_ray(g, sq, path)

@@ -182,6 +182,17 @@ def test_cli_orbit_warns_on_superlinear(tmp_path, capsys):
         assert "warning" in json.loads(out)
 
 
+def test_cli_orbit_warns_when_growth_reads_not_linear(tmp_path, capsys):
+    # Z on {+-7, +-11}: no sphere size recurs within the default census
+    # ball, so the verdict reads not-linear, yet the orbit is finite
+    spec = {**Z_SPEC, "generators": [-11, -7, 7, 11]}
+    code, out = run_cli(capsys, "orbit", write_spec(tmp_path, "z711.json", spec))
+    assert code == 0
+    report = json.loads(out)
+    assert report["growth_verdict"] == "not-linear"
+    assert report["warning"] == "growth verdict is not linear; finiteness not expected"
+
+
 def test_cli_reroot(tmp_path, capsys):
     path = write_spec(tmp_path, "z.json", Z_SPEC)
     code, out = run_cli(capsys, "reroot", path, "--depth", "10")
@@ -258,6 +269,7 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
     z = write_spec(tmp_path, "z.json", Z_SPEC)
     assert main(["cover", z]) == 3                      # wrong kind
     assert main(["growth", z, "--budget", "-1"]) == 3   # bad flag value
+    assert main(["growth", z, "--depth", "0"]) == 3
     assert main(["growth", z, "--out", str(tmp_path / "no-dir" / "r.json")]) == 3
     assert main(["growth", z, "--out", str(tmp_path)]) == 3  # --out is a directory
     # only horo needs the window below an explicit depth
@@ -312,10 +324,30 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {**TWO_LAYERS, "wrap": [["a", "a"]]}),
             ("cover", {**TWO_LAYERS, "prefix": {"layers": [["s"]]}}),
             ("cover", {**TWO_LAYERS, "seam": [["s", "a"]]}),
+            # a key its kind never reads (each was dropped without a word)
+            ("cover", {**HALL_SPEC, "edges": []}),
+            ("cover", {**HALL_SPEC, "seam": [["a", "a"]]}),
+            ("cover", {**HALL_SPEC, "period": {**HALL_SPEC["period"], "edge": []}}),
+            ("cover", {**TWO_LAYERS, "wrapp": [["a", "a"]]}),
+            ("growth", {**Z_SPEC, "generator": [-2, -1, 1, 2]}),
+            # an empty prefix (a prefix without a seam reads an empty one)
+            ("cover", {**HALL_SPEC, "prefix": {"layers": []}}),
+            # refusals in the builders
+            ("growth", {**Z_SPEC, "generators": []}),
+            ("growth", {**Z_SPEC, "generators": [-1, 0, 1]}),
+            ("growth", {"kind": "cayley"}),
+            ("growth", {"kind": "explicit", "vertices": [0, 1], "edges": []}),
+            ("growth", {**EDGE_SPEC, "vertices": [0, 0, 1]}),
+            ("growth", {**EDGE_SPEC, "basepoint": 7}),
+            ("growth", {**EDGE_SPEC, "edges": [[0, 0]]}),
+            ("cover", {**HALL_SPEC, "period": {"layers": [["a", "b"], []]}}),
+            ("cover", {"kind": "layered", "layers": []}),
             # each command on each spec kind it refuses
             ("growth", HALL_SPEC), ("reroot", HALL_SPEC),
             ("orbit", EDGE_SPEC), ("orbit", HALL_SPEC), ("cover", EDGE_SPEC)]:
-        assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3
+        assert main([command, write_spec(tmp_path, "bad.json", spec)]) == 3, spec
+    prefixed = {**HALL_SPEC, "prefix": {"layers": [["s"]]}}
+    assert main(["cover", write_spec(tmp_path, "prefixed.json", prefixed)]) == 0
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
     assert info.value.code == 2
