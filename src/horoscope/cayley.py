@@ -58,7 +58,6 @@ def _int_pair(obj, shape):
 
 
 class Integers:
-    name = "integers"
     identity = 0
 
     @staticmethod
@@ -89,7 +88,6 @@ class IntegersTimesCyclic:
         if not isinstance(modulus, int) or modulus < 2:
             raise MalformedSpec("modulus must be an integer >= 2")
         self.modulus = modulus
-        self.name = f"integers-times-cyclic({modulus})"
         self.identity = (0, 0)
 
     def mul(self, x, y):
@@ -116,7 +114,6 @@ class IntegersTimesCyclic:
 class InfiniteDihedral:
     """Isometries of the integers; (k, s) is x -> (-1)^s x + k."""
 
-    name = "infinite-dihedral"
     identity = (0, 0)
 
     @staticmethod
@@ -150,7 +147,6 @@ class InfiniteDihedral:
 
 
 class IntegerLattice2D:
-    name = "integer-lattice-2d"
     identity = (0, 0)
 
     @staticmethod
@@ -219,7 +215,6 @@ def _top_offsets(depth, levels):
 
 
 class Free2:
-    name = "free-2"
     identity = ""
 
     @staticmethod
@@ -382,8 +377,7 @@ class CayleyGraph(RootedGraph):
         self.group = group
         self.generators = gens = tuple(sorted(generators))
         mul = group.mul
-        super().__init__(lambda x: [mul(x, s) for s in gens], group.identity,
-                         degree_bound=len(gens), name=group.name)
+        super().__init__(lambda x: [mul(x, s) for s in gens], group.identity)
         if gens == tuple(sorted(group.default_generators())):
             self.exact_distance = group.distance
             self.busemann_row = getattr(group, "busemann_row", None)
@@ -508,7 +502,6 @@ class OrbitResult:
     and sampled stabilizer/coset data for the chosen least element."""
 
     members: tuple[ValueMap, ...]
-    generators: tuple
     action_table: tuple[tuple[Any, tuple[int, ...]], ...]  # (generator, row)
     fixed: ValueMap
     orbit: tuple[ValueMap, ...]
@@ -573,13 +566,12 @@ def orbit_analysis(g: CayleyGraph, horos, R: int,
             ps, pp = table[s], perms[prev]
             perms[v] = tuple(pp[ps[i]] for i in range(len(members)))
 
-    i0 = members.index(min(members))
-    images = {x: perm[i0] for x, perm in perms.items()}
-    stab = tuple(sorted(x for x, i in images.items() if i == i0))
+    images = {x: perm[0] for x, perm in perms.items()}
+    stab = tuple(sorted(x for x, i in images.items() if i == 0))
     orbit_idx = sorted(set(images.values()))
     return OrbitResult(
-        members=members, generators=g.generators, action_table=tuple(rows),
-        fixed=members[i0], orbit=tuple(members[i] for i in orbit_idx),
+        members=members, action_table=tuple(rows), fixed=members[0],
+        orbit=tuple(members[i] for i in orbit_idx),
         stabilizer_sample=stab, index_estimate=len(orbit_idx), radius=R,
         images=tuple(sorted(images.items())))
 

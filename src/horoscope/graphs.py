@@ -68,9 +68,6 @@ class RootedGraph:
         neighbor order is the sort order of the tokens.
     basepoint:
         The root vertex o.
-    degree_bound:
-        Optional declared bound on vertex degrees, checked on every
-        :meth:`neighbors` call.
 
     The graph keeps one memo: the BFS ball about the basepoint, as the
     spheres ``_layers`` (sorted tuples), the depths ``_depth`` and the ball
@@ -93,12 +90,9 @@ class RootedGraph:
     busemann_row: Callable[[Vertex, tuple], tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(self, neighbor_fn: Callable[[Vertex], Iterable[Vertex]],
-                 basepoint: Vertex, *, degree_bound: int | None = None,
-                 name: str = "graph"):
+                 basepoint: Vertex):
         self._neighbor_fn = neighbor_fn
         self.basepoint = basepoint
-        self.degree_bound = degree_bound
-        self.name = name
         # BFS-from-basepoint memo: complete layers only
         self._layers: list[tuple[Vertex, ...]] = [(basepoint,)]
         self._depth: dict[Vertex, int] = {basepoint: 0}
@@ -107,14 +101,10 @@ class RootedGraph:
         self._lock = threading.Lock()       # held while a layer is built
 
     def __repr__(self):
-        return f"RootedGraph({self.name!r}, o={self.basepoint!r})"
+        return f"{type(self).__name__}(o={self.basepoint!r})"
 
     def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        out = tuple(sorted(self._neighbor_fn(v)))
-        if self.degree_bound is not None and len(out) > self.degree_bound:
-            raise MalformedSpec(
-                f"vertex {v!r} has degree {len(out)} > bound {self.degree_bound}")
-        return out
+        return tuple(sorted(self._neighbor_fn(v)))
 
     # -- internal BFS-from-o memo -------------------------------------------
 
@@ -209,11 +199,6 @@ class ValueMap:
     domain: tuple[Vertex, ...]
     values: tuple[int, ...]
     radius: int | None = field(default=None, compare=False)
-
-    @classmethod
-    def from_dict(cls, values: dict, radius: int | None = None) -> "ValueMap":
-        toks = tuple(sorted(values))
-        return cls(toks, tuple(values[t] for t in toks), radius)
 
     @property
     def items(self) -> tuple[tuple[Vertex, int], ...]:
@@ -481,7 +466,7 @@ def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window:
     ball = ld.ball()
     max_depth = 50 * (r + 1) + 10 * window
 
-    current = {y: ld.depth_of(y) for y in ball}  # b_o(y) = d(o, y)
+    current = {y: ld.depth_of(y) for y in ball}  # b_o(y) = d(o, y), in ball order
     run_start = {y: 0 for y in ball}
     n = 0
     while True:
@@ -507,7 +492,7 @@ def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window:
     floors = sum(1 for y in ball if current[y] == -ld.depth_of(y))
     status = "stabilized" if floors == len(ball) else "heuristic"
     return HorofunctionApprox(
-        ray=ray, radius=r, values=ValueMap.from_dict(current, radius=r),
+        ray=ray, radius=r, values=ValueMap(ball, tuple(current.values()), radius=r),
         stabilization_depth=max(run_start.values()), window=window,
         status=status, floor_certified=floors)
 
@@ -598,7 +583,7 @@ def reroot_ray(g: RootedGraph, ray: tuple[Vertex, ...],
 
 
 def explicit_graph(vertices: Sequence[Vertex], edges: Sequence[Sequence[Vertex]],
-                   basepoint: Vertex, name: str = "explicit") -> RootedGraph:
+                   basepoint: Vertex) -> RootedGraph:
     """Finite graph from a vertex list and undirected edge pairs."""
     vset = set(vertices)
     if len(vset) != len(list(vertices)):
@@ -617,7 +602,7 @@ def explicit_graph(vertices: Sequence[Vertex], edges: Sequence[Sequence[Vertex]]
         adj[u].add(v)
         adj[v].add(u)
     frozen = {v: tuple(sorted(s)) for v, s in adj.items()}
-    return RootedGraph(lambda v: frozen[v], basepoint, name=name)
+    return RootedGraph(lambda v: frozen[v], basepoint)
 
 
 def verify_symmetric(g: RootedGraph, vertices: Iterable[Vertex]) -> None:

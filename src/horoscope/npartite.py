@@ -21,8 +21,8 @@ There is one relation type: the successor map ``{name: frozenset(names)}``
 keyed by the names of the source layer, in layer order.  A LayeredGraph
 stores its graph once, as its stored layers plus one such map per stored
 step (prefix steps, seam, period steps, wrap); ``truncation`` and
-``periodic`` turn edge pairs into maps once, and every graph derived from
-another (reachability reductions, restrictions, unfoldings) is built
+``periodic`` turn edge pairs into maps once, and every derived graph
+(reductions, restrictions, unfoldings, sphere quotients) is built
 straight from maps.  ``forward_map(i)`` returns the stored map of unfolded
 step i, ``edge_pairs(i)`` is a view of it as pairs, and reachability over
 several steps (``relation_between``) composes the maps and has their type.
@@ -62,6 +62,7 @@ from .errors import (
     NoConstantSubsequence,
     NoMatching,
     NonConsecutiveEdge,
+    NotGeodesic,
     NotMonotone,
     RayNotExtendable,
     RayTooShort,
@@ -98,8 +99,8 @@ class LayeredGraph:
     copy.  A truncation of n layers stores n - 1 steps, a periodic graph one
     step per stored layer.  Unfolded layer i is stored layer i up to the end
     of the first block, then block layer (i - P) mod B; unfolded steps follow
-    the same rule.  ``layer_tags`` optionally labels truncation layers
-    (sphere quotients store their sphere radii there).
+    the same rule.  ``layer_tags`` holds the sphere radii of the layers of a
+    :func:`sphere_quotient`, and of its reductions and restrictions.
     """
 
     layers: tuple[tuple[Name, ...], ...]
@@ -110,7 +111,7 @@ class LayeredGraph:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def truncation(cls, layers, steps, tags=None) -> "LayeredGraph":
+    def truncation(cls, layers, steps) -> "LayeredGraph":
         """Truncation from layer name lists and per-step edge pair lists."""
         layers = _layer_tuples(layers)
         steps = list(steps)
@@ -118,8 +119,7 @@ class LayeredGraph:
             raise MalformedSpec(
                 f"{len(layers)} layers need {len(layers) - 1} edge steps, "
                 f"got {len(steps)}")
-        return cls(layers, tuple(map(_succ_map, layers, steps)),
-                   layer_tags=tuple(tags) if tags is not None else None)
+        return cls(layers, tuple(map(_succ_map, layers, steps)))
 
     @classmethod
     def periodic(cls, period_layers, period_steps, wrap,
@@ -982,63 +982,50 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
 # sphere quotients of rooted graphs
 
 
-def sphere_quotient(g: RootedGraph, radii=None, *, bound: int | None = None,
+def sphere_quotient(g: RootedGraph, bound: int,
                     budget: int = DEFAULT_BUDGET) -> LayeredGraph:
-    """Layered graph on equal-size spheres of a rooted graph.
+    """Layered graph on the equal-size spheres of a rooted graph.
 
-    Layer t is the sphere of radius ``radii[t]``; an edge joins x to x'
-    exactly when d(x, x') equals the radius gap, which happens exactly when
-    some path of that length joins them.  When ``radii`` is omitted, the
-    spheres are located from a census up to ``bound``: the layer size is the
-    smallest sphere size occurring at least RECURRENCE_THRESHOLD times, and
-    the selected radii are all of its occurrences.  The sphere radii are
+    The spheres are located from a census up to ``bound``: the layer size is
+    the smallest sphere size occurring at least RECURRENCE_THRESHOLD times,
+    and layer t is the sphere of the t-th radius with that size.  An edge
+    joins x to x' exactly when d(x, x') equals the radius gap, which happens
+    exactly when some path of that length joins them.  The sphere radii are
     kept in ``layer_tags``.
     """
-    if radii is None:
-        if bound is None:
-            raise ValueError("need either radii or a census bound")
-        ld = layer_decomposition(g, bound, budget)
-        sizes = ld.sphere_sizes
-        k = recurring_sphere_size(sizes)
-        if k is None:
-            raise NoConstantSubsequence(
-                f"no sphere size recurs {RECURRENCE_THRESHOLD} times up to "
-                f"radius {bound} (superlinear growth, or the bound is too small)")
-        radii = tuple(r for r in range(1, bound + 1) if sizes[r] == k)
-    else:
-        radii = tuple(radii)
-        if not radii or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])) or radii[0] < 1:
-            raise MalformedSubsequence("radii must be strictly increasing and >= 1")
-        ld = layer_decomposition(g, radii[-1], budget)
-        lens = {len(ld.layers[r]) for r in radii}
-        if len(lens) != 1:
-            raise UnequalLayers(f"selected spheres have sizes {sorted(lens)}")
-
-    layers = [ld.layers[r] for r in radii]
+    ld = layer_decomposition(g, bound, budget)
+    sizes = ld.sphere_sizes
+    k = recurring_sphere_size(sizes)
+    if k is None:
+        raise NoConstantSubsequence(
+            f"no sphere size recurs {RECURRENCE_THRESHOLD} times up to "
+            f"radius {bound} (superlinear growth, or the bound is too small)")
+    radii = tuple(r for r in range(1, bound + 1) if sizes[r] == k)
+    layers = tuple(ld.layers[r] for r in radii)
     steps = []
     for t in range(len(radii) - 1):
         gap = radii[t + 1] - radii[t]
-        pairs = []
+        succ = {}
         for x in layers[t]:
             dist = g.metric_from(x, budget, reach=gap)
-            pairs.extend((x, y) for y in layers[t + 1] if dist(y) == gap)
-        steps.append(pairs)
-    return LayeredGraph.truncation(layers, steps, tags=radii)
+            succ[x] = frozenset(y for y in layers[t + 1] if dist(y) == gap)
+        steps.append(succ)
+    return LayeredGraph(layers, tuple(steps), layer_tags=radii)
 
 
 def ray_to_monotone(g: RootedGraph, lg: LayeredGraph, ray: tuple[Any, ...],
                     budget: int = DEFAULT_BUDGET) -> MonotonePath:
     """The monotone path through exactly the ray's sphere intersections.
 
-    ``lg`` must come from :func:`sphere_quotient` on the same graph (its
-    layer tags carry the sphere radii).  A geodesic ray from o meets the
-    sphere of radius m exactly at its vertex number m.
+    ``lg`` must come from :func:`sphere_quotient` on the same graph and the
+    ray start at o (NotMonotone, NotGeodesic otherwise).  A geodesic ray
+    from o meets the sphere of radius m exactly at its vertex number m.
     """
     if lg.layer_tags is None:
-        raise ValueError("layered graph carries no sphere radii; "
-                         "build it with sphere_quotient")
+        raise NotMonotone("layered graph carries no sphere radii; "
+                          "build it with sphere_quotient")
     if ray_start(ray) != g.basepoint:
-        raise ValueError("ray must start at the basepoint")
+        raise NotGeodesic("ray must start at the basepoint")
     radii = lg.layer_tags
     try:
         ray = extend_ray(g, ray, radii[-1], budget)
@@ -1050,8 +1037,8 @@ def ray_to_monotone(g: RootedGraph, lg: LayeredGraph, ray: tuple[Any, ...],
     for t, m in enumerate(radii):
         v = ray[m]
         if v not in lg.layer(t):
-            raise ValueError(f"ray vertex {v!r} is not in sphere layer {t}; "
-                             "was the layered graph built from this graph?")
+            raise NotMonotone(f"ray vertex {v!r} is not in sphere layer {t}; "
+                              "was the layered graph built from this graph?")
         names.append(v)
     return MonotonePath(0, tuple(names))
 
@@ -1059,18 +1046,20 @@ def ray_to_monotone(g: RootedGraph, lg: LayeredGraph, ray: tuple[Any, ...],
 def monotone_to_ray(g: RootedGraph, lg: LayeredGraph, path: MonotonePath,
                     budget: int = DEFAULT_BUDGET) -> tuple[Any, ...]:
     """Companion lift: realize a monotone path of a sphere quotient as a
-    geodesic ray from o, choosing canonical geodesic segments."""
+    geodesic ray from o, choosing canonical geodesic segments.  NotMonotone
+    for a graph or path that is not a sphere quotient's, NotGeodesic for a
+    vertex off its sphere or a segment that does not realize its gap."""
     if lg.layer_tags is None:
-        raise ValueError("layered graph carries no sphere radii")
+        raise NotMonotone("layered graph carries no sphere radii")
     if path.infinite or path.start != 0 or len(path.head) != len(lg.layer_tags):
-        raise ValueError("need a finite path through every sphere layer")
+        raise NotMonotone("need a finite path through every sphere layer")
     radii = lg.layer_tags
     vertices = list(canonical_geodesic(g, g.basepoint, path.head[0], budget))
     if len(vertices) - 1 != radii[0]:
-        raise ValueError("first vertex does not sit on its sphere")
+        raise NotGeodesic("first vertex does not sit on its sphere")
     for t in range(len(radii) - 1):
         seg = canonical_geodesic(g, path.head[t], path.head[t + 1], budget)
         if len(seg) - 1 != radii[t + 1] - radii[t]:
-            raise ValueError(f"no distance-realizing segment at step {t}")
+            raise NotGeodesic(f"no distance-realizing segment at step {t}")
         vertices.extend(seg[1:])
     return tuple(vertices)

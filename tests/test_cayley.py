@@ -130,7 +130,8 @@ def test_act_identity(graphs):
 
 def test_act_translation_fixes_limit(graphs):
     g = graphs["integers"]
-    f = h.ValueMap.from_dict({y: -y for y in range(-8, 9)}, radius=8)
+    ys = tuple(range(-8, 9))
+    f = h.ValueMap(ys, tuple(-y for y in ys), radius=8)
     out = h.act(7, f, g)
     assert all(out.value(y) == -y for y in range(-1, 2))
 
@@ -138,7 +139,7 @@ def test_act_translation_fixes_limit(graphs):
 def test_act_requires_radius(graphs):
     g = graphs["integers"]
     with pytest.raises(ValueError):
-        h.act(1, h.ValueMap.from_dict({0: 0}), g)
+        h.act(1, h.ValueMap((0,), (0,)), g)
 
 
 def test_act_domain_too_small(graphs):

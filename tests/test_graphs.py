@@ -10,8 +10,7 @@ from conftest import FAMILY_SPECS, LINEAR_FAMILIES, bfs_depths, bfs_distance, ru
 
 
 def half_line_graph():
-    return h.RootedGraph(lambda n: [n - 1, n + 1] if n > 0 else [1], 0,
-                         name="half-line")
+    return h.RootedGraph(lambda n: [n - 1, n + 1] if n > 0 else [1], 0)
 
 
 # ---------------------------------------------------------------- distance
@@ -56,7 +55,7 @@ def test_distance_budget_exhausted():
 def test_symmetry_check(graphs):
     ball = h.layer_decomposition(graphs["dihedral"], 4).ball()
     h.verify_symmetric(graphs["dihedral"], ball)
-    broken = h.RootedGraph(lambda n: [n + 1], 0, name="one-way")
+    broken = h.RootedGraph(lambda n: [n + 1], 0)
     with pytest.raises(h.MalformedSpec):
         h.verify_symmetric(broken, [0, 1])
 
@@ -110,23 +109,20 @@ def test_ball_radius_outside_decomposition_raises():
     assert h.layer_decomposition(g, 9).ball() == tuple(range(-9, 10))
 
 
-def test_degree_bound_violation_raises():
-    # the path 0 - 1 - 2 declares degree <= 1, but vertex 1 has degree 2
-    adj = {0: [1], 1: [0, 2], 2: [1]}
+def test_failing_oracle_leaves_no_half_built_layer():
+    # the oracle answers at 0 and 1 but fails at 2, after the depth of 3
+    # is written: every retry of layer 2 fails, and 3 stays outside B_1
+    def oracle(v):
+        if v == 2:
+            raise h.MalformedSpec("no neighbors at 2")
+        return {0: [1, 2], 1: [0, 3]}[v]
 
-    def path():
-        return h.RootedGraph(adj.__getitem__, 0, degree_bound=1, name="path")
-
-    g = path()
-    assert g.neighbors(0) == (1,)
-    for _ in range(2):
-        with pytest.raises(h.MalformedSpec):
-            g.neighbors(1)
-    g = path()
-    assert h.layer_decomposition(g, 1).sphere_sizes == [1, 1]
+    g = h.RootedGraph(oracle, 0)
     for _ in range(2):
         with pytest.raises(h.MalformedSpec):
             h.layer_decomposition(g, 2)
+    ld = h.layer_decomposition(g, 1)
+    assert ld.sphere_sizes == [1, 2] and 3 not in ld
 
 
 # ---------------------------------------------------------------- Busemann
@@ -177,9 +173,7 @@ def test_busemann_invariants(graphs):
 
 
 def test_valuemap_roundtrip():
-    vm = h.ValueMap.from_dict({3: -1, 1: 2, 2: 0}, radius=5)
-    assert vm.domain == (1, 2, 3)
-    assert vm.values == (2, 0, -1)
+    vm = h.ValueMap((1, 2, 3), (2, 0, -1), radius=5)
     assert vm.value(3) == -1
     with pytest.raises(KeyError):
         vm.value(9)
@@ -188,7 +182,7 @@ def test_valuemap_roundtrip():
 
 
 def test_valuemap_restrict_takes_unsorted_sets():
-    vm = h.ValueMap.from_dict({"": 0, "a": 1, "ab": 2, "b": 1, "ba": 2}, radius=2)
+    vm = h.ValueMap(("", "a", "ab", "b", "ba"), (0, 1, 2, 1, 2), radius=2)
     tokens = {"ba", "zz", "", "ab"}   # hash order; "zz" is not in the domain
     assert vm.restrict(tokens, 1).items == (("", 0), ("ab", 2), ("ba", 2))
     assert vm.restrict(tokens, 1).radius == 1
@@ -197,7 +191,8 @@ def test_valuemap_restrict_takes_unsorted_sets():
 
 @given(st.dictionaries(st.integers(-9, 9), st.integers(-5, 5), min_size=1))
 def test_valuemap_ordering_is_item_order(d):
-    vm = h.ValueMap.from_dict(d)
+    keys = tuple(sorted(d))
+    vm = h.ValueMap(keys, tuple(d[y] for y in keys))
     assert vm.as_dict() == d
     assert list(vm.items) == sorted(d.items())
 
@@ -481,7 +476,7 @@ def broken_ladder():
     edges = [[(i, t), (i + 1, t)] for i in range(-40, 40) for t in (0, 1)]
     edges += [[(i, 0), (i, 1)] for i in range(-40, 41) if i % 3 == 0]
     edges += [[(i, 0), (i + 1, 1)] for i in range(-40, 40) if i % 5 == 0]
-    return h.explicit_graph(vs, edges, (0, 0), name="broken-ladder")
+    return h.explicit_graph(vs, edges, (0, 0))
 
 
 ENUMERATION_CASES = {   # name -> (spec, or None for broken_ladder, r, depth, window)

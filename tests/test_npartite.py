@@ -8,8 +8,14 @@ from corpus import enumerate_spanning_paths
 
 
 def half_line_graph():
-    return h.RootedGraph(lambda n: [n - 1, n + 1] if n > 0 else [1], 0,
-                         name="half-line")
+    return h.RootedGraph(lambda n: [n - 1, n + 1] if n > 0 else [1], 0)
+
+
+def leaf_path_graph():
+    """0-1-3-4-...-11 with a leaf 2 on 1: the spheres of radius 1 and 3..10
+    hold one vertex each, and S_2 = {2, 3} holds two."""
+    return h.explicit_graph(list(range(12)),
+                            [[0, 1], [1, 2], [1, 3]] + [[v, v + 1] for v in range(3, 11)], 0)
 
 
 # ---------------------------------------------------------------- building
@@ -407,12 +413,13 @@ def test_sphere_quotient_superlinear(graphs):
         h.sphere_quotient(graphs["lattice"], bound=12)
 
 
-def test_sphere_quotient_explicit_radii(graphs):
-    sq = h.sphere_quotient(graphs["integers"], radii=[2, 4, 6])
-    assert sq.layer_tags == (2, 4, 6)
-    assert sq.edge_pairs(0) == frozenset({(-2, -4), (2, 4)})
-    with pytest.raises(h.UnequalLayers):
-        h.sphere_quotient(graphs["ladder"], radii=[1, 2])
+def test_sphere_quotient_explicit_radii():
+    # the census skips S_2: step 0 joins the spheres of radius 1 and 3,
+    # by the distance 2 from 1 to 4
+    sq = h.sphere_quotient(leaf_path_graph(), bound=10)
+    assert sq.layer_tags == (1, *range(3, 11))
+    assert sq.edge_pairs(0) == frozenset({(1, 4)})
+    assert sq.edge_pairs(1) == frozenset({(4, 5)})
 
 
 # ---------------------------------------------------------------- ray maps
@@ -442,16 +449,44 @@ def test_ray_to_monotone_half_line():
 
 
 def test_ray_to_monotone_requires_tags(graphs):
-    with pytest.raises(ValueError):
+    with pytest.raises(h.NotMonotone):
         h.ray_to_monotone(graphs["integers"], corpus.two_spine(),
                           h.extend_ray(graphs["integers"], (0,), 5))
 
 
+# one case per check of the sphere bridge: (error, call on the integers z and
+# their quotient zq, whose sphere radii are 1..10)
+BRIDGE_ERRORS = {
+    "ray-not-from-basepoint": (
+        h.NotGeodesic, lambda z, zq: h.ray_to_monotone(z, zq, (1, 2))),
+    "ray-vertex-off-layer": (
+        h.NotMonotone, lambda z, zq: h.ray_to_monotone(
+            z, h.sphere_quotient(half_line_graph(), bound=10), (0,))),
+    "lift-without-radii": (
+        h.NotMonotone, lambda z, zq: h.monotone_to_ray(
+            z, corpus.two_spine(), h.MonotonePath(0, ("a",)))),
+    "lift-short-path": (
+        h.NotMonotone, lambda z, zq: h.monotone_to_ray(z, zq, h.MonotonePath(0, (1, 2)))),
+    "lift-first-vertex-off-sphere": (
+        h.NotGeodesic, lambda z, zq: h.monotone_to_ray(
+            z, zq, h.MonotonePath(0, tuple(range(2, 12))))),
+    "lift-segment-misses-gap": (
+        h.NotGeodesic, lambda z, zq: h.monotone_to_ray(z, zq, h.MonotonePath(0, (1,) * 10))),
+}
+
+
+@pytest.mark.parametrize("case", BRIDGE_ERRORS)
+def test_sphere_bridge_typed_errors(graphs, case):
+    error, call = BRIDGE_ERRORS[case]
+    z = graphs["integers"]
+    with pytest.raises(error):
+        call(z, h.sphere_quotient(z, bound=10))
+
+
 def test_ray_too_short_when_extension_fails():
-    # 0-1-3-4-5 with a leaf 2 on 1: the least ray (0, 1, 2) dead-ends at 2
-    g = h.explicit_graph(list(range(6)),
-                         [[0, 1], [1, 2], [1, 3], [3, 4], [4, 5]], 0)
-    sq = h.sphere_quotient(g, radii=[1, 3, 4])
+    # the least ray (0, 1, 2) dead-ends at the leaf 2
+    g = leaf_path_graph()
+    sq = h.sphere_quotient(g, bound=10)
     with pytest.raises(h.RayTooShort):
         h.ray_to_monotone(g, sq, (0, 1, 2))
 

@@ -175,11 +175,11 @@ def test_cli_orbit(tmp_path, capsys):
 
 def test_cli_orbit_warns_on_superlinear(tmp_path, capsys):
     path = write_spec(tmp_path, "l.json", LATTICE_SPEC)
-    code, out = run_cli(capsys, "orbit", path, "--radius", "6", "--ball", "2")
-    # the pipeline may or may not finish usefully, but when it does finish
-    # the report must carry the warning
-    if code == 0:
-        assert "warning" in json.loads(out)
+    # at radius 6 two lattice restrictions agree on B_5: the orbit check
+    # refuses with exit 7 (the warning itself is pinned on Z on {+-7, +-11})
+    assert main(["orbit", path, "--radius", "6", "--ball", "2"]) == 7
+    assert ("two members agree on the common domain; increase the radius"
+            in capsys.readouterr().err)
 
 
 def test_cli_orbit_warns_when_growth_reads_not_linear(tmp_path, capsys):
