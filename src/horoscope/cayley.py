@@ -9,6 +9,11 @@ Families and their normal forms:
     integer-lattice-2d   (a, b)
     free-2               reduced word over a, A, b, B (A = a inverse)
 
+Each family but free-2 writes its standard metric once, as ``metric_row(z,
+targets, offset)``: the tuple of d(z, y) - offset over the targets.  Free-2
+writes its tree metric as ``distance`` and has closed forms on its whole
+sorted balls.
+
 The group acts on value maps vanishing at the identity by
 x.f(y) = f(x^-1 y) - f(x^-1); for Busemann tables this is x.b_z = b_{xz}.
 """
@@ -73,8 +78,8 @@ class Integers:
         return (-1, 1)
 
     @staticmethod
-    def distance(x, y):
-        return abs(y - x)
+    def metric_row(z, targets, offset=0):
+        return tuple([abs(y - z) - offset for y in targets])
 
     @staticmethod
     def token(obj):
@@ -100,9 +105,10 @@ class IntegersTimesCyclic:
         gens = {(1, 0), (-1, 0), (0, 1), (0, self.modulus - 1)}
         return tuple(sorted(gens))
 
-    def distance(self, x, y):
-        t = (y[1] - x[1]) % self.modulus
-        return abs(y[0] - x[0]) + min(t, self.modulus - t)
+    def metric_row(self, z, targets, offset=0):
+        (n, t), m = z, self.modulus
+        return tuple([abs(a - n) + min(u := (s - t) % m, m - u) - offset
+                      for a, s in targets])
 
     def token(self, obj):
         n, t = _int_pair(obj, "[n, t]")
@@ -134,9 +140,11 @@ class InfiniteDihedral:
         return ((0, 1), (1, 1))
 
     @staticmethod
-    def distance(x, y):
-        k = x[0] - y[0] if x[1] else y[0] - x[0]   # x^-1 y = (k, s1 ^ s2)
-        return abs(2 * k - 1) if x[1] ^ y[1] else 2 * abs(k)
+    def metric_row(z, targets, offset=0):
+        # z^-1 y = (k, s ^ t) with k = e * (y[0] - z[0]), e = (-1)^s
+        (n, s), e = z, (-1 if z[1] else 1)
+        return tuple([(abs(2 * e * (k - n) - 1) if s ^ t else 2 * abs(k - n)) - offset
+                      for k, t in targets])
 
     @staticmethod
     def token(obj):
@@ -162,8 +170,9 @@ class IntegerLattice2D:
         return ((-1, 0), (0, -1), (0, 1), (1, 0))
 
     @staticmethod
-    def distance(x, y):
-        return abs(y[0] - x[0]) + abs(y[1] - x[1])
+    def metric_row(z, targets, offset=0):
+        a, b = z
+        return tuple([abs(y - a) + abs(v - b) - offset for y, v in targets])
 
     @staticmethod
     def token(obj):
@@ -355,20 +364,23 @@ class GroupSpec:
 class CayleyGraph(RootedGraph):
     """Cayley graph rooted at the identity; neighbors of x are x*s.
 
-    :meth:`metric_from` gives every distance.  On the standard generating
-    set it is the family's closed-form metric, which is kept in
-    ``exact_distance``, and a family that has a closed-form Busemann row
-    (free-2: ``Free2.busemann_row``) gives every Busemann table through it,
-    with no per-vertex distance.  Such a family may also have a closed-form
-    gather for :func:`act` (free-2: ``Free2.act_row``, kept in ``act_row``),
-    which act uses on maps whose domain is the graph's stored ball B_r.  On
-    a custom generating set all three are None, and distances are word
-    lengths: the graph is vertex-transitive, so d(z, y) = |z^-1 y|, read
-    from the graph's one memo, the BFS ball about the identity, which grows
-    layer by layer as deeper words are read.  No BFS runs from any other
-    source.  The budget bounds the ball a read needs: reading a word of
-    length R raises BudgetExhausted when |B_R| > budget, whatever the memo
-    already holds.
+    :meth:`metric_from` gives every distance and :meth:`busemann_row` every
+    Busemann value; the constructor picks both once.  On the standard
+    generating set the metric is the family's closed form, kept in
+    ``exact_distance``.  The row is the family's ``metric_row``, one
+    comprehension over the targets (``exact_distance`` reads it one target
+    at a time), except on free-2, whose row is the layout of the sorted
+    ball (``Free2.busemann_row``) on the graph's stored balls B_R and the
+    tree metric on any other targets.  Free-2 also has a closed-form
+    gather for :func:`act` (``Free2.act_row``, kept in ``act_row``), which
+    act uses on maps whose domain is the graph's stored ball B_r.  On a
+    custom generating set ``exact_distance`` and ``act_row`` are None, and
+    distances are word lengths: the graph is vertex-transitive, so
+    d(z, y) = |z^-1 y|, read from the graph's one memo, the BFS ball about
+    the identity, which grows layer by layer as deeper words are read.  No
+    BFS runs from any other source.  The budget bounds the ball a read
+    needs: reading a word of length R raises BudgetExhausted when
+    |B_R| > budget, whatever the memo already holds.
     """
 
     act_row = None
@@ -378,10 +390,25 @@ class CayleyGraph(RootedGraph):
         self.generators = gens = tuple(sorted(generators))
         mul = group.mul
         super().__init__(lambda x: [mul(x, s) for s in gens], group.identity)
-        if gens == tuple(sorted(group.default_generators())):
-            self.exact_distance = group.distance
-            self.busemann_row = getattr(group, "busemann_row", None)
-            self.act_row = getattr(group, "act_row", None)
+        if gens != tuple(sorted(group.default_generators())):
+            return
+        if isinstance(group, Free2):
+            balls = self._balls
+
+            def row(z, targets, budget):
+                if targets and balls.get(len(targets[-1])) is targets:
+                    return group.busemann_row(z, targets)   # a whole stored ball
+                n, dist = len(z), self.exact_distance
+                return n, tuple([dist(z, y) - n for y in targets])
+            self.exact_distance, self.act_row = group.distance, group.act_row
+        else:
+            metric_row, o = group.metric_row, (group.identity,)
+
+            def row(z, targets, budget):
+                base, = metric_row(z, o)
+                return base, metric_row(z, targets, base)
+            self.exact_distance = lambda x, y: metric_row(x, (y,))[0]
+        self.busemann_row = row
 
     def metric_from(self, z, budget, *, reach=None, targets=None):
         """u -> d(z, u): ``exact_distance`` when set, otherwise |z^-1 u|
@@ -405,6 +432,18 @@ class CayleyGraph(RootedGraph):
             d = depth.get(w)
             return d if d is not None and d <= fits else self._word_length(w, budget)
         return dist
+
+    def busemann_row(self, z, targets, budget):
+        """(|z|, the values |z^-1 y| - |z| for y in ``targets``), read from
+        the ball memo as :meth:`metric_from` reads them, the budget included;
+        on the standard generators the constructor replaces it."""
+        zinv, mul, get = self.group.inv(z), self.group.mul, self._depth.get
+        fits = bisect_right(self._ball_sizes, budget) - 1
+        far = fits + 1
+        base = d if (d := get(z, far)) <= fits else self._word_length(z, budget)
+        return base, tuple([
+            (d if (d := get(w := mul(zinv, y), far)) <= fits
+             else self._word_length(w, budget)) - base for y in targets])
 
     def _word_length(self, w, budget) -> int:
         """|w|, growing the memo as far as needed; BudgetExhausted when

@@ -12,12 +12,14 @@ Every distance query goes through one method, :meth:`RootedGraph.metric_from`,
 which returns u -> d(z, u).  A plain graph runs a BFS from z; a Cayley graph
 returns its closed-form metric on the standard generators, and otherwise,
 being vertex-transitive, reads d(z, y) = |z^-1 y| from its memoized ball
-about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann
-table is one distance per ball vertex, except on a graph with a closed-form
-row (``RootedGraph.busemann_row``; free-2 on its standard generators), which
-builds the whole table from the layout of the sorted ball.  The enumeration
-reads each z of its window on the sphere S_r only, through which every
-geodesic from z enters B_r, and one z per result on B_r.  :class:`ValueMap`
+about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  Busemann
+values come in rows: :meth:`RootedGraph.busemann_row` gives d(z, o) and
+b_z on a tuple of targets in one call, by one BFS here, and a Cayley graph
+picks its row once, at construction: the family's closed form, free-2's
+layout of the whole sorted ball, or one read of the ball memo per target.
+A Busemann table is one row over its ball.  The enumeration reads each z
+of its window on the sphere S_r only, through which every geodesic from z
+enters B_r, and one z per result on B_r.  :class:`ValueMap`
 lookups bisect the sorted domain, and ``cayley.act`` gathers through that
 same lookup, except on free-2 on its standard generators when the map's
 domain is the graph's stored ball B_r: there it reads a slice of the map
@@ -80,14 +82,11 @@ class RootedGraph:
 
     Every distance comes from :meth:`metric_from`, a BFS here; subclasses
     override it.  ``exact_distance`` (None here) is a closed-form metric
-    d(x, y) that a subclass may set, and ``busemann_row`` (None here) a
-    closed form (z, whole sorted ball B_r) -> (d(z, o), the values b_z(y)
-    in ball order), which then gives every Busemann table in place of one
-    distance per vertex.
+    d(x, y) that a subclass may set.  Every Busemann value comes from
+    :meth:`busemann_row`, one BFS here, which a subclass may replace.
     """
 
     exact_distance: Callable[[Vertex, Vertex], int] | None = None
-    busemann_row: Callable[[Vertex, tuple], tuple[int, tuple[int, ...]]] | None = None
 
     def __init__(self, neighbor_fn: Callable[[Vertex], Iterable[Vertex]],
                  basepoint: Vertex):
@@ -178,6 +177,15 @@ class RootedGraph:
             return depth.__getitem__
         far = reach + 1
         return lambda u: depth.get(u, far)
+
+    def busemann_row(self, z: Vertex, targets: tuple[Vertex, ...],
+                     budget: int) -> tuple[int, tuple[int, ...]]:
+        """(d(z, o), the values b_z(y) = d(z, y) - d(z, o) for y in
+        ``targets``), here by one :meth:`metric_from` search from z."""
+        o = self.basepoint
+        dist = self.metric_from(z, budget, targets=(*targets, o))
+        base = dist(o)
+        return base, tuple([dist(y) - base for y in targets])
 
 
 # ---------------------------------------------------------------------------
@@ -304,29 +312,6 @@ def distance(g: RootedGraph, x: Vertex, y: Vertex,
     return g.metric_from(x, budget, targets=(y,))(y)
 
 
-def _distances(g: RootedGraph, z: Vertex, targets: tuple[Vertex, ...],
-               budget: int) -> list[int]:
-    """[d(z, y) for y in targets]: the closed form called directly (through
-    metric_from's partial the enumeration takes 15-20% longer on ladder3 at
-    r <= 24 and the lattice at r <= 8), or else one metric_from search."""
-    ed = g.exact_distance
-    if ed is not None:
-        return [ed(z, y) for y in targets]
-    d = g.metric_from(z, budget, targets=targets)
-    return [d(y) for y in targets]
-
-
-def _busemann_values(g: RootedGraph, z: Vertex, ball: tuple[Vertex, ...],
-                     budget: int) -> tuple[int, tuple[int, ...]]:
-    """(d(z, o), the values b_z(y) for y in ball); ball must be sorted and
-    contain o."""
-    if g.busemann_row is not None:
-        return g.busemann_row(z, ball)
-    row = _distances(g, z, ball, budget)
-    base = row[bisect_left(ball, g.basepoint)]
-    return base, tuple([d - base for d in row])
-
-
 # ---------------------------------------------------------------------------
 # Busemann tables
 
@@ -346,7 +331,7 @@ def busemann(g: RootedGraph, z: Vertex, r: int,
     if r < 0:
         raise ValueError("r must be >= 0")
     ball = layer_decomposition(g, r, budget).ball()
-    _, values = _busemann_values(g, z, ball, budget)
+    _, values = g.busemann_row(z, ball, budget)
     return BusemannTable(source=z, radius=r,
                          values=ValueMap(ball, values, radius=r))
 
@@ -478,7 +463,7 @@ def horofunction_approx(g: RootedGraph, ray: tuple[Vertex, ...], r: int, window:
                 f"no stabilization of all {len(ball)} values within depth {max_depth}")
         ray = extend_ray(g, ray, n, budget)
         z = ray[n]
-        base, values = _busemann_values(g, z, ball, budget)
+        base, values = g.busemann_row(z, ball, budget)
         if base != n:
             raise NotGeodesic(f"ray vertex {n} is at distance {base} from o")
         for y, val in zip(ball, values):
@@ -511,11 +496,11 @@ def enumerate_horofunction_restrictions(
     result converges to the true limit set for the built-in families as
     depth grows, and every returned map is 1-Lipschitz with value 0 at o.
 
-    Each z is read on the sphere S_r only: depth changes by at most one per
-    edge, so for |z| > r a geodesic from z into B_r enters it through S_r,
-    and b_z(y) is the least b_z(w) + d(w, y) over w in S_r.  So b_z on B_r
-    and the row d(z, w) over S_r, less its least value d(z, o) - r, fix each
-    other; the window intersects these rows, and each survivor is extended.
+    Each z is read on the sphere S_r only, by one Busemann row: depth
+    changes by at most one per edge, so for |z| > r a geodesic from z into
+    B_r enters it through S_r, and b_z(y) is the least b_z(w) + d(w, y) over
+    w in S_r.  So b_z on B_r and its row over S_r fix each other; the window
+    intersects these rows, and each survivor is extended.
     """
     if r < 1 or window < 0:
         raise ValueError("need r >= 1 and window >= 0")
@@ -523,7 +508,8 @@ def enumerate_horofunction_restrictions(
         raise ValueError(f"depth must be >= 2r + 1 = {2 * r + 1}")
     lo = max(2 * r + 1, depth - window)
     ld = layer_decomposition(g, depth, budget)
-    survivors: dict[tuple[int, ...], Vertex] | None = None  # profile -> a z
+    row, s_r = g.busemann_row, ld.layers[r]
+    survivors: dict[tuple[int, ...], Vertex] | None = None  # b_z on S_r -> a z
     for n in range(lo, depth + 1):
         sphere = ld.layers[n]
         if not sphere:
@@ -531,14 +517,12 @@ def enumerate_horofunction_restrictions(
                 f"S_{n} is empty: graph is finite, no horofunctions exist")
         profiles = {}
         for z in sphere:
-            row = _distances(g, z, ld.layers[r], budget)
-            m = min(row)
-            profiles.setdefault(tuple([d - m for d in row]), z)
+            profiles.setdefault(row(z, s_r, budget)[1], z)
         survivors = profiles if survivors is None else {
             p: z for p, z in survivors.items() if p in profiles}
     ball = ld.ball(r)
     return tuple(sorted(
-        ValueMap(ball, _busemann_values(g, z, ball, budget)[1], radius=r)
+        ValueMap(ball, row(z, ball, budget)[1], radius=r)
         for z in survivors.values()))
 
 

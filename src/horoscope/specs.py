@@ -176,42 +176,59 @@ def witness_hom_jsonable(w: HomomorphismWitness):
 
 def to_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` with each ``ValueMap``
-    replaced by its ``items``, byte for byte: leaf arrays are formatted in
-    bulk, each value map from one template per (domain, indent) in this call."""
-    return _encode(obj, "\n", {})
+    replaced by its ``items``, byte for byte: the parts go into one list,
+    joined once; leaf arrays are formatted in bulk, each value map from one
+    template per (domain, indent) in this call."""
+    out: list[str] = []
+    _encode(obj, "\n", {}, out)
+    return "".join(out)
 
 
-def _encode(o, nl: str, templates: dict) -> str:
-    # ``nl`` is the newline and indent before the closing bracket of ``o``;
-    # ``templates`` holds each domain beside its template, so no id is reused
+def _encode(o, nl: str, templates: dict, out: list) -> None:
+    # appends the text of ``o`` to ``out``; ``nl`` is the newline and indent
+    # before the closing bracket of ``o``; ``templates`` holds each domain
+    # beside its template, so no id is reused
     if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None or o is True or o is False or isinstance(o, float):
-        return json.dumps(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        text = _leaf_array(o, nl)
+        out.append(encode_basestring_ascii(o))
+    elif o is None or o is True or o is False or isinstance(o, float):
+        out.append(json.dumps(o))
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        text = _leaf_array(o, nl) if o else "[]"
         if text is not None:
-            return text
-        body = ("," + inner).join([_encode(v, inner, templates) for v in o])
-        return f"[{inner}{body}{nl}]"
-    if isinstance(o, dict):
+            out.append(text)
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _encode(v, inner, templates, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
         if not o:
-            return "{}"
-        body = ("," + inner).join([_key(k) + ": " + _encode(v, inner, templates)
-                                   for k, v in sorted(o.items())])
-        return f"{{{inner}{body}{nl}}}"
-    if isinstance(o, ValueMap):
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            out.append(sep + _key(k) + ": ")
+            _encode(v, inner, templates, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, ValueMap):
         key = (id(o.domain), nl)
         if key not in templates:
             templates[key] = (o.domain, _template(o.domain, nl))
         text = _fill(templates[key][1], o.values)
-        return text if text is not None else _encode(o.items, nl, templates)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+        if text is None:
+            _encode(o.items, nl, templates, out)
+        else:
+            out.append(text)
+    else:
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _key(k) -> str:
@@ -223,11 +240,14 @@ def _key(k) -> str:
 
 def _leaf_array(arr, nl: str) -> str | None:
     """The non-empty ``arr`` as an array closed after ``nl``, or None unless it
-    holds only ints or a value map's items.  Censuses read exact types, so a
-    bool never passes as an int."""
+    holds only ints, only strings or a value map's items.  Censuses read
+    exact types, so a bool never passes as an int, nor a str subclass as a
+    str."""
     kinds = set(map(type, arr))
     if kinds == {int}:
         return _repeat("%d", len(arr), arr, nl)
+    if kinds == {str}:
+        return _repeat("%s", len(arr), map(encode_basestring_ascii, arr), nl)
     if kinds <= {list, tuple} and set(map(len, arr)) == {2}:
         tokens, values = zip(*arr)
         return _fill(_template(tokens, nl), values)

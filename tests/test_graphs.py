@@ -326,19 +326,20 @@ def test_enumerate_count_monotone_in_radius(graphs):
 
 
 def test_lattice_enumeration_distance_calls():
-    # the enumeration's work, pinned: every z of a window is read on S_r, and
-    # one z per result on B_r (reading all of B_r for every z took 367,648)
+    # the enumeration's work, pinned as the entries of the Busemann rows it
+    # reads: every z of a window is read on S_r (95,328 entries), and one z
+    # per result on B_r (24,288; reading all of B_r for every z took 367,648)
     g = h.cayley_graph(FAMILY_SPECS["lattice"])
-    exact, calls = g.exact_distance, [0]
+    row, entries = g.busemann_row, [0]
 
-    def counted(x, y):
-        calls[0] += 1
-        return exact(x, y)
+    def counted(z, targets, budget):
+        entries[0] += len(targets)
+        return row(z, targets, budget)
 
-    g.exact_distance = counted
+    g.busemann_row = counted
     for r in range(1, 9):
         h.enumerate_horofunction_restrictions(g, r, 4 * r, 8)
-    assert calls[0] == 119_616
+    assert entries[0] == 119_616
 
 
 def test_enumerate_rejects_shallow_depth(graphs):
@@ -508,6 +509,40 @@ def test_custom_enumeration_matches_brute_force(name):
     assert expected
     assert sorted(m.values for m in got) == sorted(expected)
     assert all(m.domain == ball and m.radius == r for m in got)
+    for m in got:   # the docstring's claim: 1-Lipschitz, 0 at o
+        assert m.value(g.basepoint) == 0
+        _assert_one_lipschitz(g, m)
+
+
+ROW_CASES = {**FAMILY_SPECS, **CUSTOM_SPECS, "broken-ladder": None}
+
+
+@pytest.mark.parametrize("name", list(ROW_CASES))
+def test_busemann_row_matches_distance(name):
+    # the row read on S_r, the stored B_r and a copy of it (free-2 reads
+    # only the stored ball by its layout), for three z per sphere up to 2r + 2
+    spec, r = ROW_CASES[name], 2
+    g = broken_ladder() if spec is None else h.cayley_graph(spec)
+    ld, o = h.layer_decomposition(g, 2 * r + 2), g.basepoint
+
+    def expected(z, targets):
+        base = h.distance(g, o, z)
+        return base, tuple(h.distance(g, z, y) - base for y in targets)
+
+    for targets in (ld.layers[r], ld.ball(r), tuple(list(ld.ball(r)))):
+        for layer in ld.layers:
+            for z in (layer[0], layer[len(layer) // 2], layer[-1]):
+                assert g.busemann_row(z, targets, 10 ** 6) == expected(z, targets)
+    if name in CUSTOM_SPECS:
+        # a fresh graph's memo holds B_12 only, and every word z^-1 y read
+        # here is longer: each entry falls back to growing the memo
+        deep = h.layer_decomposition(g, 16)
+        fresh = h.cayley_graph(spec)
+        assert len(fresh._layers) == 13
+        for z in (deep.layers[16][0], deep.layers[16][-1]):
+            got = fresh.busemann_row(z, deep.layers[r], 10 ** 6)
+            assert got == expected(z, deep.layers[r])
+        assert len(fresh._layers) > 13
 
 
 @pytest.mark.parametrize("name", list(CUSTOM_SPECS))

@@ -504,6 +504,10 @@ def test_cli_report_bytes(tmp_path, capsys, spec, argv, digest):
 
 # ---------------------------------------------------------------- JSON text
 
+class _Str(str):
+    """A str subclass, which the string census leaves to the per-element path."""
+
+
 _ints = st.integers(-(2 ** 70), 2 ** 70)
 _pairs = st.tuples(_ints, _ints) | st.lists(_ints, min_size=2, max_size=2)
 
@@ -515,6 +519,7 @@ def _value_maps(tokens):
 
 _leaves = (st.none() | st.booleans() | _ints | st.floats() | st.text()
            | st.lists(_ints | st.booleans(), max_size=5)
+           | st.lists(st.text(), max_size=5)
            | _value_maps(_ints) | _value_maps(_pairs) | _value_maps(st.text()))
 _reports = st.recursive(
     _leaves,
@@ -538,6 +543,10 @@ _reports = st.recursive(
 @example([("a", 1), ["b", 2], ("c", 3.0)])
 @example({"k": {0: "int", 2.5: "float", True: "bool"}, "n": {None: [1]}})
 @example({"maps": [[[1, 0], [2, 1]], [[(0, 0), 1]], [["w", 2]]]})
+@example(["a", "%s", "%d", "50%", "%(x)s"])
+@example(["é", 'a"b', "c\\d\t\x00\u2028", "雪"])
+@example([["a", "b"], ["c"], [["d", "%"], []], ("e", "f")])
+@example(["a", _Str("b"), "c"])
 def test_to_json_matches_json_dumps(x):
     assert to_json(x) == json.dumps(x, sort_keys=True, indent=2)
 
