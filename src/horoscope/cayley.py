@@ -9,10 +9,10 @@ Families and their normal forms:
     integer-lattice-2d   (a, b)
     free-2               reduced word over a, A, b, B (A = a inverse)
 
-Each family but free-2 writes its standard metric once, as ``metric_row(z,
-targets, offset)``: the tuple of d(z, y) - offset over the targets.  Free-2
-writes its tree metric as ``distance`` and has closed forms on its whole
-sorted balls.
+Each family writes its standard metric once, as ``metric_row(z, targets,
+offset)``: the tuple of d(z, y) - offset over the targets.  Free-2 also has
+closed forms on its whole sorted balls: a Busemann row (``busemann_row``)
+and the action's gather (``act_row``).
 
 The group acts on value maps vanishing at the identity by
 x.f(y) = f(x^-1 y) - f(x^-1); for Busemann tables this is x.b_z = b_{xz}.
@@ -203,6 +203,14 @@ def _subtree_ranges(ball, radius, word):
     return ranges
 
 
+def _common_prefix(x, y):
+    """The length of the longest common prefix of two words."""
+    i, m = 0, min(len(x), len(y))
+    while i < m and x[i] == y[i]:
+        i += 1
+    return i
+
+
 def _depth_run(top, depth):
     """Preorder values of a full ternary tree with ``depth`` levels below its
     root: ``top`` at the root, one more at each level down."""
@@ -244,13 +252,10 @@ class Free2:
         return ("A", "B", "a", "b")
 
     @staticmethod
-    def distance(x, y):
+    def metric_row(z, targets, offset=0):
         # tree metric: cancel the longest common prefix
-        i = 0
-        m = min(len(x), len(y))
-        while i < m and x[i] == y[i]:
-            i += 1
-        return len(x) + len(y) - 2 * i
+        n = len(z) - offset
+        return tuple([n + len(y) - 2 * _common_prefix(z, y) for y in targets])
 
     @staticmethod
     def busemann_row(z, ball):
@@ -358,6 +363,8 @@ class GroupSpec:
                 f"unknown family {self.family!r}; expected one of {tuple(FAMILIES)}")
         if family is IntegersTimesCyclic:
             return family(self.modulus or 0)
+        if self.modulus is not None:
+            raise MalformedSpec(f"family {self.family!r} reads no modulus")
         return family()
 
 
@@ -365,25 +372,25 @@ class CayleyGraph(RootedGraph):
     """Cayley graph rooted at the identity; neighbors of x are x*s.
 
     :meth:`metric_from` gives every distance and :meth:`busemann_row` every
-    Busemann value; the constructor picks both once.  On the standard
-    generating set the metric is the family's closed form, kept in
-    ``exact_distance``.  The row is the family's ``metric_row``, one
-    comprehension over the targets (``exact_distance`` reads it one target
-    at a time), except on free-2, whose row is the layout of the sorted
-    ball (``Free2.busemann_row``) on the graph's stored balls B_R and the
-    tree metric on any other targets.  Free-2 also has a closed-form
-    gather for :func:`act` (``Free2.act_row``, kept in ``act_row``), which
-    act uses on maps whose domain is the graph's stored ball B_r.  On a
-    custom generating set ``exact_distance`` and ``act_row`` are None, and
-    distances are word lengths: the graph is vertex-transitive, so
-    d(z, y) = |z^-1 y|, read from the graph's one memo, the BFS ball about
-    the identity, which grows layer by layer as deeper words are read.  No
-    BFS runs from any other source.  The budget bounds the ball a read
-    needs: reading a word of length R raises BudgetExhausted when
-    |B_R| > budget, whatever the memo already holds.
+    Busemann value, both read from one row that the constructor picks once;
+    only a ``reach`` walk on a custom generating set has its own read.
+    On the standard generating set the row is the family's ``metric_row``,
+    one comprehension over the targets, and ``exact_distance`` reads it one
+    target at a time; a family with a layout of its whole sorted balls
+    (free-2's ``busemann_row``) reads that instead when the targets are the
+    graph's stored ball B_R.  Free-2 also has a closed-form gather for
+    :func:`act` (``Free2.act_row``, kept in ``act_row``), which act uses on
+    maps whose domain is the graph's stored ball B_r.  On a custom
+    generating set ``exact_distance`` and ``act_row`` are None, and the row
+    is :meth:`busemann_row`'s read of word lengths: the graph is
+    vertex-transitive, so d(z, y) = |z^-1 y|, read from the graph's one
+    memo, the BFS ball about the identity, which grows layer by layer as
+    deeper words are read.  No BFS runs from any other source.  The budget
+    bounds the ball a read needs: reading a word of length R raises
+    BudgetExhausted when |B_R| > budget, whatever the memo already holds.
     """
 
-    act_row = None
+    exact_distance = act_row = None
 
     def __init__(self, group, generators):
         self.group = group
@@ -392,51 +399,48 @@ class CayleyGraph(RootedGraph):
         super().__init__(lambda x: [mul(x, s) for s in gens], group.identity)
         if gens != tuple(sorted(group.default_generators())):
             return
-        if isinstance(group, Free2):
-            balls = self._balls
+        metric_row, o = group.metric_row, (group.identity,)
+        layout = getattr(group, "busemann_row", None)
+        balls, depth = self._balls, self._depth
 
-            def row(z, targets, budget):
-                if targets and balls.get(len(targets[-1])) is targets:
-                    return group.busemann_row(z, targets)   # a whole stored ball
-                n, dist = len(z), self.exact_distance
-                return n, tuple([dist(z, y) - n for y in targets])
-            self.exact_distance, self.act_row = group.distance, group.act_row
-        else:
-            metric_row, o = group.metric_row, (group.identity,)
-
-            def row(z, targets, budget):
-                base, = metric_row(z, o)
-                return base, metric_row(z, targets, base)
-            self.exact_distance = lambda x, y: metric_row(x, (y,))[0]
+        def row(z, targets, budget):
+            # a stored ball B_R is found by identity, under the depth R of
+            # its greatest element
+            if layout and targets and balls.get(depth.get(targets[-1])) is targets:
+                return layout(z, targets)
+            base, = metric_row(z, o)
+            return base, metric_row(z, targets, base)
         self.busemann_row = row
+        self.exact_distance = lambda x, y: metric_row(x, (y,))[0]
+        self.act_row = getattr(group, "act_row", None)
 
     def metric_from(self, z, budget, *, reach=None, targets=None):
-        """u -> d(z, u): ``exact_distance`` when set, otherwise |z^-1 u|
-        from the ball memo; ``targets`` is not needed."""
+        """u -> d(z, u): ``exact_distance`` when set.  Otherwise |z^-1 u| from
+        the ball memo, which needs ``reach`` or ``targets``: with ``reach``,
+        every u, reading reach + 1 beyond it; with ``targets``, the targets
+        only, looked up in the row :meth:`busemann_row` from the identity
+        over the words z^-1 t, so each read is bounded as that row bounds it."""
         if self.exact_distance is not None:
             return partial(self.exact_distance, z)
-        mul, zinv, depth = self.group.mul, self.group.inv(z), self._depth
+        mul, zinv = self.group.mul, self.group.inv(z)
         if reach is not None:
             self._ensure_layers(reach, budget)
-            far = reach + 1
+            depth, far = self._depth, reach + 1
 
             def dist(u):
                 d = depth.get(mul(zinv, u), far)
                 return d if d <= reach else far
             return dist
-        # words no longer than `fits` need no budget check: |B_fits| <= budget
-        fits = bisect_right(self._ball_sizes, budget) - 1
-
-        def dist(u):
-            w = mul(zinv, u)
-            d = depth.get(w)
-            return d if d is not None and d <= fits else self._word_length(w, budget)
-        return dist
+        targets = tuple(targets)
+        _, row = self.busemann_row(
+            self.basepoint, [mul(zinv, t) for t in targets], budget)
+        return dict(zip(targets, row)).__getitem__
 
     def busemann_row(self, z, targets, budget):
         """(|z|, the values |z^-1 y| - |z| for y in ``targets``), read from
-        the ball memo as :meth:`metric_from` reads them, the budget included;
-        on the standard generators the constructor replaces it."""
+        the ball memo; on the standard generators the constructor replaces
+        it.  Words no longer than ``fits`` need no budget check, as
+        |B_fits| <= budget; a longer or unread word grows the memo."""
         zinv, mul, get = self.group.inv(z), self.group.mul, self._depth.get
         fits = bisect_right(self._ball_sizes, budget) - 1
         far = fits + 1
@@ -479,8 +483,10 @@ def cayley_graph(spec: GroupSpec, budget: int = DEFAULT_BUDGET) -> CayleyGraph:
         raise MalformedSpec("generating set is not closed under inversion")
     g = CayleyGraph(group, gens)
     if g.exact_distance is None:
-        small = layer_decomposition(
-            CayleyGraph(group, group.default_generators()), 2).ball()
+        # the default ball B_2: products of two of the identity and the
+        # default generators
+        unit = (group.identity, *group.default_generators())
+        small = sorted({group.mul(s, t) for s in unit for t in unit})
         ld = layer_decomposition(g, 12, budget)
         missing = [v for v in small if v not in ld]
         if missing:

@@ -9,21 +9,13 @@ by choosing among the distance-increasing neighbors of the tip), stabilized
 horofunction restrictions, and ray rerooting.
 
 Every distance query goes through one method, :meth:`RootedGraph.metric_from`,
-which returns u -> d(z, u).  A plain graph runs a BFS from z; a Cayley graph
-returns its closed-form metric on the standard generators, and otherwise,
-being vertex-transitive, reads d(z, y) = |z^-1 y| from its memoized ball
-about the identity (see :class:`~horoscope.cayley.CayleyGraph`).  Busemann
-values come in rows: :meth:`RootedGraph.busemann_row` gives d(z, o) and
-b_z on a tuple of targets in one call, by one BFS here, and a Cayley graph
-picks its row once, at construction: the family's closed form, free-2's
-layout of the whole sorted ball, or one read of the ball memo per target.
-A Busemann table is one row over its ball.  The enumeration reads each z
-of its window on the sphere S_r only, through which every geodesic from z
-enters B_r, and one z per result on B_r.  :class:`ValueMap`
-lookups bisect the sorted domain, and ``cayley.act`` gathers through that
-same lookup, except on free-2 on its standard generators when the map's
-domain is the graph's stored ball B_r: there it reads a slice of the map
-and fixed preorder offsets from subtree positions (``Free2.act_row``).
+which returns u -> d(z, u), and every Busemann value through
+:meth:`RootedGraph.busemann_row`, which gives d(z, o) and b_z on a tuple of
+targets in one call.  Here both run a BFS from z; a subclass may override
+them (see :class:`~horoscope.cayley.CayleyGraph`).  A Busemann table is one
+row over its ball.  The enumeration reads each z of its window on the
+sphere S_r only, through which every geodesic from z enters B_r, and one z
+per result on B_r.  :class:`ValueMap` lookups bisect the sorted domain.
 
 All operations are pure; graphs are immutable apart from one memo, the BFS
 ball about the basepoint with the sorted balls B_r read from it, and results
@@ -80,13 +72,10 @@ class RootedGraph:
     list complete layers only; readers take a depth beyond them as not yet
     memoized, so none acts on a half-built layer.
 
-    Every distance comes from :meth:`metric_from`, a BFS here; subclasses
-    override it.  ``exact_distance`` (None here) is a closed-form metric
-    d(x, y) that a subclass may set.  Every Busemann value comes from
-    :meth:`busemann_row`, one BFS here, which a subclass may replace.
+    Every distance comes from :meth:`metric_from` and every Busemann value
+    from :meth:`busemann_row`, each one BFS here; subclasses may replace
+    them.
     """
-
-    exact_distance: Callable[[Vertex, Vertex], int] | None = None
 
     def __init__(self, neighbor_fn: Callable[[Vertex], Iterable[Vertex]],
                  basepoint: Vertex):

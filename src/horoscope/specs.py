@@ -221,11 +221,11 @@ def _encode(o, nl: str, templates: dict, out: list) -> None:
         key = (id(o.domain), nl)
         if key not in templates:
             templates[key] = (o.domain, _template(o.domain, nl))
-        text = _fill(templates[key][1], o.values)
-        if text is None:
+        template = templates[key][1]
+        if template is None or set(map(type, o.values)) != {int}:
             _encode(o.items, nl, templates, out)
         else:
-            out.append(text)
+            out.append(template % tuple(o.values))
     else:
         raise TypeError(
             f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -240,25 +240,14 @@ def _key(k) -> str:
 
 def _leaf_array(arr, nl: str) -> str | None:
     """The non-empty ``arr`` as an array closed after ``nl``, or None unless it
-    holds only ints, only strings or a value map's items.  Censuses read
-    exact types, so a bool never passes as an int, nor a str subclass as a
-    str."""
+    holds only ints or only strings.  Censuses read exact types, so a bool
+    never passes as an int, nor a str subclass as a str."""
     kinds = set(map(type, arr))
     if kinds == {int}:
         return _repeat("%d", len(arr), arr, nl)
     if kinds == {str}:
         return _repeat("%s", len(arr), map(encode_basestring_ascii, arr), nl)
-    if kinds <= {list, tuple} and set(map(len, arr)) == {2}:
-        tokens, values = zip(*arr)
-        return _fill(_template(tokens, nl), values)
     return None
-
-
-def _fill(template: str | None, values) -> str | None:
-    """``template % values``, or None if either is not a value map's."""
-    if template is None or set(map(type, values)) != {int}:
-        return None
-    return template % tuple(values)
 
 
 def _template(tokens, nl: str) -> str | None:

@@ -69,14 +69,19 @@ def test_bad_specs():
             h.cayley_graph(h.GroupSpec(family))
     with pytest.raises(h.MalformedSpec):
         h.cayley_graph(h.GroupSpec("free-2", generators=("a", "A", "aA", "Aa")))
-    # pair elements hold exact ints, as integers elements do: no bool, no float
+    # pair elements hold exact ints, as integers elements do: no bool, no
+    # float; only integers-times-cyclic reads a modulus
     for family, gens in [
             ("infinite-dihedral", ([0, 1.0], [1, 1])),
             ("infinite-dihedral", ([True, 1], [0, 1])),
             ("integer-lattice-2d", ([True, 0], [-1, 0], [0, 1], [0, -1])),
             ("integers-times-cyclic", ([1, 0], [-1, 0], [1, False]))]:
-        with pytest.raises(h.MalformedSpec):
-            h.cayley_graph(h.GroupSpec(family, generators=gens, modulus=2))
+        modulus = 2 if family == "integers-times-cyclic" else None
+        with pytest.raises(h.MalformedSpec, match="element"):
+            h.cayley_graph(h.GroupSpec(family, generators=gens, modulus=modulus))
+    for family in ("integers", "infinite-dihedral", "integer-lattice-2d", "free-2"):
+        with pytest.raises(h.MalformedSpec, match="reads no modulus"):
+            h.cayley_graph(h.GroupSpec(family, modulus=3))
 
 
 def test_custom_generators_word_metric():
@@ -101,7 +106,7 @@ def _naive_reduce(letters):
 def test_free2_mul_matches_naive_reduction(xs, ys):
     x, y = _naive_reduce(xs), _naive_reduce(ys)
     assert Free2.mul(x, y) == _naive_reduce(x + y)
-    assert Free2.distance(x, y) == len(Free2.mul(Free2.inv(x), y))
+    assert Free2.metric_row(x, (y,)) == (len(Free2.mul(Free2.inv(x), y)),)
 
 
 def test_free2_busemann_row_matches_distance(graphs):
@@ -111,7 +116,7 @@ def test_free2_busemann_row_matches_distance(graphs):
     # of length r + 3, whose deeper prefix ranges are empty there
     sources = ld.ball(4) + tuple(("abAB" * 3)[: r + 3] for r in range(9))
     for z in sources:
-        ref = {y: Free2.distance(z, y) - len(z) for y in ref_ball}
+        ref = dict(zip(ref_ball, Free2.metric_row(z, ref_ball, len(z))))
         for r in range(9):
             ball = ld.ball(r)
             base, row = Free2.busemann_row(z, ball)
@@ -233,7 +238,7 @@ def test_free2_busemann_row_needs_whole_ball(graphs):
     sources = ld.ball(2) + tuple(w[:k] for w in ("abAB" * 3, "B" * 11, "aBaB" * 3)
                                  for k in range(3, 12))
     for z in sources:
-        ref = {y: Free2.distance(z, y) - len(z) for y in ld.ball()}
+        ref = dict(zip(ld.ball(), Free2.metric_row(z, ld.ball(), len(z))))
         for r in range(10):
             ball = ld.ball(r)
             assert Free2.busemann_row(z, ball) == (len(z), tuple(ref[y] for y in ball))

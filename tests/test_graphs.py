@@ -580,6 +580,35 @@ def test_custom_distance_budget():
     assert h.distance(warm, warm.basepoint, w, budget=size) == 9
 
 
+@pytest.mark.parametrize("name", list(CUSTOM_SPECS))
+def test_custom_target_distances_are_the_memo_row(name):
+    spec = CUSTOM_SPECS[name]
+    g = h.cayley_graph(spec)
+    deep = h.layer_decomposition(g, 18)
+    z = deep.layers[2][0]
+    targets = deep.layers[1] + deep.layers[16][:3] + deep.layers[16][-3:]
+    near = bfs_depths(g, z, 18)
+    ref = [near[t] for t in targets]
+    assert max(ref) > 12    # some words z^-1 t lie beyond a fresh B_12 memo
+    for read in (tuple, iter):  # a one-pass iterable is read once
+        fresh = h.cayley_graph(spec)
+        assert len(fresh._layers) == 13
+        dist = fresh.metric_from(z, 10 ** 6, targets=read(targets))
+        assert [dist(t) for t in targets] == ref
+        assert len(fresh._layers) > 13
+    # the budget bounds the deepest word read, as for one target
+    size = len(deep.ball(max(ref)))
+    with pytest.raises(h.BudgetExhausted):
+        h.cayley_graph(spec).metric_from(z, size - 1, targets=targets)
+    dist = h.cayley_graph(spec).metric_from(z, size, targets=targets)
+    assert [dist(t) for t in targets] == ref
+    # ... and not |z|: words z^-1 t of length 1 from a z on S_16
+    far = deep.layers[16][-1]
+    nbrs = g.neighbors(far)
+    dist = h.cayley_graph(spec).metric_from(far, len(deep.ball(1)), targets=nbrs)
+    assert [dist(t) for t in nbrs] == [1] * len(nbrs)
+
+
 def test_shared_memo_concurrent_layers():
     g = h.cayley_graph(FAMILY_SPECS["free2"])
     sizes = run_threads(lambda: h.layer_decomposition(g, 8).sphere_sizes)

@@ -330,6 +330,8 @@ def test_cli_exit_codes(tmp_path, capsys, long_cycle_funnel):
             ("cover", {**HALL_SPEC, "period": {**HALL_SPEC["period"], "edge": []}}),
             ("cover", {**TWO_LAYERS, "wrapp": [["a", "a"]]}),
             ("growth", {**Z_SPEC, "generator": [-2, -1, 1, 2]}),
+            # a modulus on a family without one (it was ignored, exit 0)
+            ("growth", {**Z_SPEC, "modulus": 3}),
             # an empty prefix (a prefix without a seam reads an empty one)
             ("cover", {**HALL_SPEC, "prefix": {"layers": []}}),
             # refusals in the builders
