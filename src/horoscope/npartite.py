@@ -831,7 +831,7 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     paths1, trace = _cover_uniform(g1)
     if sel is not None:
         paths1 = _expand_paths(g0, sel, paths1)
-    paths = tuple(_extend_forward(lg, _extend_back(lg, q)) for q in paths1)
+    paths = tuple(_extend_forward(g0, _extend_back(g0, q)) for q in paths1)
     return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
                        approximate=not lg.is_periodic)
 

@@ -572,7 +572,17 @@ def test_golden_cover_digest():
     # random truncations (seven of which split on a Hall failure)
     blob = json.dumps([[name, golden_record(lg)] for name, lg in golden_cases()])
     assert hashlib.sha256(blob.encode()).hexdigest() == \
-        "33a36c60e7bc5d571d0f6d5406b26c98f815ad5348ae142c06162957c31222b1"
+        "041d59e6ee25f2b55f2e1cd22813bbec451a3d0c4412b91a182af012f794f7d4"
+
+
+def test_truncation_cover_paths_are_spanning_paths():
+    # every path of a truncation's cover runs from layer 0 to the last layer,
+    # so it is a spanning path: the cover extends its paths in the pruned graph
+    for seed in range(2000):
+        lg = random_truncation(seed)
+        for q in h.monotone_cover(lg).paths:
+            q.validate(lg)
+            assert (q.start, q.end) == (0, len(lg.layers) - 1), seed
 
 
 def funnel_truncation(seed):
@@ -610,7 +620,7 @@ def test_golden_truncation_split_digest():
     assert sum(1 for node in splits if node.padded) == 33
     blob = json.dumps(records)
     assert hashlib.sha256(blob.encode()).hexdigest() == \
-        "5ba9a30a6186b563dd1bee41cf1512b69e4d80ac6ad83fc9098c32df7bd7a97e"
+        "2631028539a912b7ec65ea1295b9bfca8874cd07fd5152a784b17e5c19a90ef2"
 
 
 def test_periodic_splits_pad_only_the_complement():

@@ -27,6 +27,13 @@ EDGE_SPEC = {"kind": "explicit", "vertices": [0, 1], "edges": [[0, 1]],
 HALL_SPEC = {"kind": "layered",
              "period": {"layers": [["a", "b"]], "edges": []},
              "wrap": [["a", "a"], ["b", "a"]]}
+FIVE_LAYER_SPEC = {
+    "kind": "layered",
+    "layers": [["v0", "v1", "v2", "v3"], ["v0", "v1", "v2"]] + [["v0", "v1", "v2", "v3"]] * 3,
+    "edges": [[0, "v1", "v1"], [0, "v2", "v1"], [0, "v2", "v2"], [1, "v0", "v0"],
+              [1, "v0", "v1"], [1, "v1", "v3"], [1, "v2", "v0"], [1, "v2", "v2"],
+              [2, "v0", "v2"], [2, "v0", "v3"], [2, "v1", "v1"], [2, "v3", "v2"],
+              [3, "v0", "v0"], [3, "v1", "v0"], [3, "v2", "v2"]]}
 TWO_LAYERS = {"kind": "layered", "layers": [["a"], ["a"]], "edges": [[0, "a", "a"]]}
 
 
@@ -160,6 +167,15 @@ def test_cli_cover_truncation(tmp_path, capsys):
     assert report["approximate"] is True
     assert report["k"] == 2
     assert report["verification"]["depths"] == [10]
+
+
+def test_cli_cover_truncation_paths_span(tmp_path, capsys):
+    # v0 of layer 1 has no predecessor, so no spanning path starts at layer 1
+    path = write_spec(tmp_path, "five.json", FIVE_LAYER_SPEC)
+    code, out = run_cli(capsys, "cover", path)
+    assert code == 0
+    assert json.loads(out)["paths"] == [
+        {"cycle": [], "head": ["v2", "v2", "v0", "v2", "v2"], "start": 0}]
 
 
 def test_cli_orbit(tmp_path, capsys):
