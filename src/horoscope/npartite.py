@@ -40,11 +40,14 @@ One recursion, ``_cover_uniform``, serves both modes.  It asks
 consecutive pair (a Stride, or a tuple of truncation layers) or for the Hall
 witness.  The decision matches each layer pair it tries once, through
 ``_stride_analysis`` on periodic graphs and ``_truncation_witness`` on
-truncations, which ``find_hall_failure`` reads as well; the matching
-branch walks the matchings the decision found, with the walk that
-``partition_by_matchings`` runs on a whole graph.  The modes differ only
-where the input's shape decides: the split selection, how a part is
-covered, and the walk that pads a name.
+truncations, which ``find_hall_failure`` reads as well.  ``_walk`` is the
+one forward walk: it follows one successor per name, through head steps and
+then around block steps.  The matching branch walks the matchings the
+decision found, as ``partition_by_matchings`` does on a whole graph; a
+split's pads and a truncation cover's finite paths walk the least
+successors of a pruned graph, where every name has one.  The modes differ
+only where the input's shape decides: the split selection and how a part
+is covered.
 """
 
 from __future__ import annotations
@@ -493,9 +496,9 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
 
     Periodic mode composes the block matchings (plus wrap) into a
     permutation of the first block layer; each path then follows one
-    permutation cycle forever (see ``_walk_matchings``).  Raises
-    UnequalLayers at the first pair of unequal sizes, and NoMatching (with
-    the Hall certificate) at the first pair without a perfect matching.
+    permutation cycle forever (see ``_walk``).  Raises UnequalLayers at the
+    first pair of unequal sizes, and NoMatching (with the Hall certificate)
+    at the first pair without a perfect matching.
     """
     def need(j):
         left, right = lg.layer(j), lg.layer(j + 1)
@@ -508,35 +511,34 @@ def partition_by_matchings(lg: LayeredGraph) -> tuple[MonotonePath, ...]:
                              certificate=res)
         return res.as_dict()
 
+    matchings = [need(i) for i in range(len(lg.steps))]
     p = lg.num_prefix
-    # the head steps include the seam; the block steps include the wrap
-    return _walk_matchings(lg.layer(0),
-                           [need(i) for i in range(p if lg.is_periodic else p - 1)],
-                           [need(p + j) for j in range(lg.period_length)])
+    return tuple(_walk(a, matchings[:p], matchings[p:]) for a in lg.layer(0))
 
 
-def _walk_matchings(first, head_steps, block_steps) -> tuple[MonotonePath, ...]:
-    """One path from each name of ``first`` along the head matchings (dicts),
-    then around the block matchings, if any, until it returns to its entry."""
-    def walk(name, steps):
-        names = [name]
-        for m in steps:
-            names.append(m[names[-1]])
-        return names
+def _walk(name: Name, head_steps, block_steps) -> MonotonePath:
+    """The path from ``name`` at layer 0 that follows the head steps (dicts
+    of one successor per name), then repeats the block steps, if any, until
+    a block entry repeats: the walk from that entry on is the cycle."""
+    names = [name]
+    for step in head_steps:
+        names.append(step[names[-1]])
+    if not block_steps:
+        return MonotonePath(0, tuple(names))
+    entries = {}                  # block entry name -> its offset in names
+    while names[-1] not in entries:
+        entries[names[-1]] = len(names) - 1
+        for step in block_steps:
+            names.append(step[names[-1]])
+    i = entries[names.pop()]
+    return MonotonePath(0, tuple(names[:i]), tuple(names[i:]))
 
-    paths = []
-    for a in first:
-        head = walk(a, head_steps)
-        if not block_steps:
-            paths.append(MonotonePath(0, tuple(head)))
-            continue
-        # whole block walks from the entry name until the walk returns to it
-        entry = head.pop()
-        cycle = walk(entry, block_steps)
-        while cycle[-1] != entry:
-            cycle += walk(cycle.pop(), block_steps)
-        paths.append(MonotonePath(0, tuple(head), tuple(cycle[:-1])))
-    return tuple(paths)
+
+def _least_successors(g: LayeredGraph) -> list[dict]:
+    """{name: its least successor} for each stored step of a pruned graph,
+    where every name has a successor: the steps a pad or a finite path
+    walks."""
+    return [{a: min(ts) for a, ts in succ.items()} for succ in g.steps]
 
 
 # ---------------------------------------------------------------------------
@@ -699,20 +701,6 @@ class CoverResult:
     approximate: bool
 
 
-def _greedy_walk(rel: dict, start: Name) -> MonotonePath:
-    """Deterministic infinite walk in a single-layer-period relation: always
-    step to the least successor; the visit sequence is eventually periodic."""
-    seen = {}
-    names = []
-    cur = start
-    while cur not in seen:
-        seen[cur] = len(names)
-        names.append(cur)
-        cur = min(rel[cur])
-    i = seen[cur]
-    return MonotonePath(0, tuple(names[:i]), tuple(names[i:]))
-
-
 def _least_segment(lg: LayeredGraph, i: int, u: Name, j: int, v: Name) -> tuple:
     """Lexicographically least monotone path (layer i, u) -> (layer j, v)."""
     reach = _reaching(lg, i + 1, j, {v})
@@ -789,21 +777,6 @@ def _extend_back(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
     return MonotonePath(start, tuple(prefix) + path.head, path.cycle)
 
 
-def _extend_forward(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
-    """Append vertices toward the last truncation layer while edges exist."""
-    if path.infinite or lg.is_periodic:
-        return path
-    names = list(path.head)
-    end = path.end
-    while end < len(lg.layers) - 1:
-        nxt = lg.forward_map(end)[names[-1]]
-        if not nxt:
-            break
-        names.append(min(nxt))
-        end += 1
-    return MonotonePath(path.start, tuple(names))
-
-
 def _uniform_size(lg: LayeredGraph) -> int:
     sizes = set(map(len, lg.layers))
     if len(sizes) != 1:
@@ -822,8 +795,11 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     matching branch along the ``_matching_selection`` when one exists,
     otherwise split along the Hall-failure witness into the funnel Γ_A (the
     V sets) and its complement Γ_B, solve both by induction, and lift
-    everything back to the input graph.  k is the uniform layer size after
-    pruning; the result paths live in the original layer indexing.
+    everything back to the pruned graph.  There ``_extend_back`` extends
+    each path toward layer 0, and ``_walk`` walks each finite (truncation)
+    path on to the last layer by least successors, so a truncation's cover
+    paths are spanning paths.  k is the uniform layer size after pruning;
+    the result paths live in the original layer indexing.
     """
     g0 = prune_to_spanning(lg)
     sel = _uniform_selection(g0)
@@ -831,8 +807,15 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     paths1, trace = _cover_uniform(g1)
     if sel is not None:
         paths1 = _expand_paths(g0, sel, paths1)
-    paths = tuple(_extend_forward(g0, _extend_back(g0, q)) for q in paths1)
-    return CoverResult(paths=paths, trace=trace, k=_uniform_size(g1),
+    least = _least_successors(g0)
+    paths = []
+    for q in paths1:
+        q = _extend_back(g0, q)
+        if not q.infinite:          # walk on to the last truncation layer
+            tail = _walk(q.head[-1], least[q.end:], ()).head
+            q = MonotonePath(q.start, q.head[:-1] + tail)
+        paths.append(q)
+    return CoverResult(paths=tuple(paths), trace=trace, k=_uniform_size(g1),
                        approximate=not lg.is_periodic)
 
 
@@ -846,7 +829,8 @@ def _matching_selection(g: LayeredGraph) -> tuple | HallFailureWitness:
         res = _stride_analysis(g)
         if isinstance(res, HallFailureWitness):
             return res
-        return res[0], _walk_matchings(g.layer(res[0].start), [], [res[1].as_dict()])
+        block = (res[1].as_dict(),)
+        return res[0], tuple(_walk(a, (), block) for a in g.layer(res[0].start))
     chain, head_steps = [0], []
     while chain[-1] < len(g.layers) - 1:
         res = _truncation_witness(g, chain[-1])
@@ -854,7 +838,7 @@ def _matching_selection(g: LayeredGraph) -> tuple | HallFailureWitness:
             return res              # no deeper layer matches the chain's end
         chain.append(res[0])
         head_steps.append(res[1].as_dict())
-    return tuple(chain), _walk_matchings(g.layer(0), head_steps, [])
+    return tuple(chain), tuple(_walk(a, head_steps, ()) for a in g.layer(0))
 
 
 def _cover_uniform(g: LayeredGraph):
@@ -864,10 +848,11 @@ def _cover_uniform(g: LayeredGraph):
     Matching branch: lift the paths walked along the selection.  Split
     branch: reduce to the witness layers (one layer, a whole period, on
     periodic graphs), cover the funnel V and its complement W by induction,
-    and pad with walks from the layer-0 names that neither part accounts
-    for.  A periodic part is pruned and recursed on directly, since
-    ``monotone_cover`` would extend its nested split paths back to layer 0;
-    a truncation part goes through ``monotone_cover``.
+    and pad with one ``_walk`` over the least successors of that reduction
+    from each layer-0 name that neither part accounts for.  A periodic part
+    is pruned and recursed on directly, since ``monotone_cover`` would
+    extend its nested split paths back to layer 0; a truncation part goes
+    through ``monotone_cover``.
     """
     k = _uniform_size(g)
     witness = _matching_selection(g)
@@ -900,10 +885,8 @@ def _cover_uniform(g: LayeredGraph):
     # each part path accounts for at most one name: spare never runs short
     spare = [a for a in gm.layer(0) if a not in kept_a and a not in kept_b]
     padded = tuple(spare[:k - len(paths_a) - len(paths_b)])
-    if g.is_periodic:
-        pad_paths = [_greedy_walk(gm.forward_map(0), u) for u in padded]
-    else:
-        pad_paths = [_extend_forward(gm, MonotonePath(0, (u,))) for u in padded]
+    least, p = _least_successors(gm), gm.num_prefix
+    pad_paths = [_walk(u, least[:p], least[p:]) for u in padded]
     paths = _expand_paths(g, sel, paths_a + paths_b + pad_paths)
     trace = TraceNode(kind="split", k=k, witness=witness, v=witness.sizes[1],
                       w=k - witness.sizes[1], children=(trace_a, trace_b),

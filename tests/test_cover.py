@@ -585,6 +585,49 @@ def test_truncation_cover_paths_are_spanning_paths():
             assert (q.start, q.end) == (0, len(lg.layers) - 1), seed
 
 
+def sparse_truncation(seed):
+    """Seeded truncation with 1-3 names in every layer, depth 1-6 and each
+    possible edge drawn with probability 0.3, so most draws span nothing."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(1, 3))]
+    depth = rng.randint(1, 6)
+    steps = [[(a, b) for a in names for b in names if rng.random() < 0.3]
+             for _ in range(depth)]
+    return h.LayeredGraph.truncation([names] * (depth + 1), steps)
+
+
+def test_truncation_pruning_keeps_the_names_on_spanning_paths():
+    # pruning a truncation keeps exactly the names on its spanning paths,
+    # and raises EmptyGraph exactly when there is none
+    empty = 0
+    for lg in ([random_truncation(seed) for seed in range(2000)]
+               + [sparse_truncation(seed) for seed in range(500)]):
+        spanning = enumerate_spanning_paths(lg, len(lg.layers) - 1)
+        if not spanning:
+            empty += 1
+            with pytest.raises(h.EmptyGraph):
+                h.prune_to_spanning(lg)
+            continue
+        assert h.prune_to_spanning(lg).layers == tuple(
+            tuple(sorted(set(names))) for names in zip(*spanning))
+    assert empty == 343                 # all of them sparse draws
+
+
+def test_pruned_names_have_successors():
+    # the invariant that lets _walk take the least successor unchecked:
+    # after pruning, every name has a successor on every stored step, which
+    # on a truncation is every layer but the last
+    pruned = 0
+    for _, lg in golden_cases():
+        try:
+            g = h.prune_to_spanning(lg)
+        except h.EmptyGraph:
+            continue
+        pruned += 1
+        assert all(ts for succ in g.steps for ts in succ.values())
+    assert pruned == 544                # 129 of them periodic
+
+
 def funnel_truncation(seed):
     """Seeded truncation with k = 3-6 names in every layer and depth 4-8:
     each step squeezes a random funnel set into fewer names while the other
