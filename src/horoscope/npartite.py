@@ -536,8 +536,7 @@ def _walk(name: Name, head_steps, block_steps) -> MonotonePath:
 
 def _least_successors(g: LayeredGraph) -> list[dict]:
     """{name: its least successor} for each stored step of a pruned graph,
-    where every name has a successor: the steps a pad or a finite path
-    walks."""
+    where every name has one: the steps a pad or a finite path walks."""
     return [{a: min(ts) for a, ts in succ.items()} for succ in g.steps]
 
 
