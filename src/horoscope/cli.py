@@ -12,6 +12,9 @@ Reports go to --out or stdout as JSON (default) or CSV, versioned with a
 "schema": "horoscope/1" field.  Identical configurations produce
 byte-identical reports.
 
+``main`` builds its argument parser once per process and reuses it on every
+later call, so repeated in-process calls pay no parser set-up.
+
 Exit codes: 0 success, 2 usage, 3 malformed spec (or an unwritable --out),
 4 budget exhausted, 5 structural precondition failed, 6 ray errors,
 7 invariance violations.
@@ -20,6 +23,7 @@ Exit codes: 0 success, 2 usage, 3 malformed spec (or an unwritable --out),
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -260,7 +264,10 @@ def render(command: str, report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads its arguments with, built on the first call
+    and reused: parse_args keeps no state from one call to the next."""
     parser = argparse.ArgumentParser(
         prog="horoscope",
         description="horofunction boundary experiments on graphs of linear growth",

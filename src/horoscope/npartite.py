@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Hashable
 from dataclasses import dataclass
+from itertools import chain, cycle
 from math import gcd
 from typing import Any, NamedTuple
 
@@ -186,10 +187,10 @@ class LayeredGraph:
 
     def _stored(self, i: int, count: int) -> int:
         """Position of unfolded layer or step i among ``count`` stored ones."""
-        if i < 0 or (i >= count and not self.is_periodic):
-            raise IndexError(f"unfolded index {i} out of range")
-        if i < count:
+        if 0 <= i < count:
             return i
+        if i < 0 or not self.is_periodic:
+            raise IndexError(f"unfolded index {i} out of range")
         return self.num_prefix + (i - self.num_prefix) % self.period_length
 
     def layer(self, i: int) -> tuple[Name, ...]:
@@ -356,7 +357,7 @@ def relation_between(lg: LayeredGraph, i: int, j: int) -> dict:
     rel = {a: frozenset((a,)) for a in lg.layer(i)}
     for t in range(i, j):
         succ = lg.forward_map(t)
-        rel = {a: frozenset().union(*(succ[m] for m in mids))
+        rel = {a: frozenset().union(*map(succ.__getitem__, mids))
                for a, mids in rel.items()}
     return rel
 
@@ -599,7 +600,7 @@ def _stride_analysis(lg: LayeredGraph) -> tuple[Stride, Matching] | HallFailureW
             progress = True
             if q > 1:
                 step = one_period[j]
-                power[j] = {a: frozenset().union(*(step[m] for m in mids))
+                power[j] = {a: frozenset().union(*map(step.__getitem__, mids))
                             for a, mids in power[j].items()}
             key = tuple(power[j].values())
             if key in history[j]:
@@ -721,59 +722,66 @@ def _expand_paths(parent: LayeredGraph, selection, paths) -> list[MonotonePath]:
     else:
         to_parent = selection.__getitem__
     segments: dict = {}
+    n_layers = len(parent.layers)
 
-    def lift(path, t0, steps):
-        """Parent names of reduced steps t0 .. t0 + steps - 1 of ``path``,
-        each segment without its last name."""
-        names = []
-        for t in range(t0, t0 + steps):
-            i, j, u, v = to_parent(t), to_parent(t + 1), path.name_at(t), path.name_at(t + 1)
-            key = (parent._stored(i, len(parent.layers)), j - i, u, v)
-            if key not in segments:
-                segments[key] = _least_segment(parent, i, u, j, v)[:-1]
-            names += segments[key]
-        return tuple(names)
+    def lift(t, names):
+        """Parent names of the reduced steps along ``names``, a name sequence
+        from reduced layer t on, each segment without its last name."""
+        out = []
+        i = to_parent(t)
+        for u, v in zip(names, names[1:]):
+            t += 1
+            j = to_parent(t)
+            key = (parent._stored(i, n_layers), j - i, u, v)
+            segment = segments.get(key)
+            if segment is None:
+                segment = segments[key] = _least_segment(parent, i, u, j, v)[:-1]
+            out += segment
+            i = j
+        return tuple(out)
 
     def expand(path):
         start = to_parent(path.start)
         if not path.infinite:
-            return MonotonePath(start, lift(path, path.start, len(path.head) - 1)
-                                + path.head[-1:])
+            return MonotonePath(start, lift(path.start, path.head) + path.head[-1:])
         # infinite paths come with a Stride; unroll the cycle until its
         # segments line up with the parent period
         bp = parent.period_length
         repeat = bp // gcd(bp, len(path.cycle) * selection.stride)
-        return MonotonePath(start, lift(path, path.start, len(path.head)),
-                            lift(path, path.start + len(path.head),
-                                 len(path.cycle) * repeat))
+        return MonotonePath(start, lift(path.start, path.head + path.cycle[:1]),
+                            lift(path.start + len(path.head),
+                                 path.cycle * repeat + path.cycle[:1]))
 
     return [expand(path) for path in paths]
 
 
-def _extend_back(lg: LayeredGraph, path: MonotonePath) -> MonotonePath:
-    """Prepend vertices toward layer 0 while a backward neighbor exists."""
+def _least_predecessors(g: LayeredGraph) -> list[dict]:
+    """{name: its least predecessor} for each stored step of a pruned graph,
+    over the names that have one: the steps ``_extend_back`` walks back.  A
+    pruned graph keys its steps in sorted layer order, so reading them in
+    reverse leaves each name's least source written last."""
+    return [{b: a for a, ts in reversed(succ.items()) for b in ts} for succ in g.steps]
+
+
+def _extend_back(g: LayeredGraph, preds: list[dict], path: MonotonePath) -> MonotonePath:
+    """Prepend least predecessors (``preds``, from ``_least_predecessors(g)``)
+    toward layer 0 while one exists."""
     start = path.start
-    if start == 0:
-        return path
-    first = path.name_at(start)
+    cur = (path.head or path.cycle)[0]
     prefix = []
-    cur = first
     while start > 0:
-        back = [a for a, ts in lg.forward_map(start - 1).items() if cur in ts]
-        if not back:
+        pred = preds[g._stored(start - 1, len(preds))]
+        if cur not in pred:
             break
-        cur = min(back)
+        cur = pred[cur]
         prefix.append(cur)
         start -= 1
     if not prefix:
         return path
     prefix.reverse()
-    if path.infinite and not path.head:
-        # materialize one cycle turn into the head so indices stay aligned
-        head = tuple(prefix) + tuple(path.name_at(path.start + i)
-                                     for i in range(len(path.cycle)))
-        return MonotonePath(start, head, path.cycle)
-    return MonotonePath(start, tuple(prefix) + path.head, path.cycle)
+    # after an empty head the prefix runs on through one cycle turn: the same
+    # path, in the form the reports print
+    return MonotonePath(start, tuple(prefix) + (path.head or path.cycle), path.cycle)
 
 
 def _uniform_size(lg: LayeredGraph) -> int:
@@ -806,10 +814,10 @@ def monotone_cover(lg: LayeredGraph) -> CoverResult:
     paths1, trace = _cover_uniform(g1)
     if sel is not None:
         paths1 = _expand_paths(g0, sel, paths1)
-    least = _least_successors(g0)
+    least, preds = _least_successors(g0), _least_predecessors(g0)
     paths = []
     for q in paths1:
-        q = _extend_back(g0, q)
+        q = _extend_back(g0, preds, q)
         if not q.infinite:          # walk on to the last truncation layer
             tail = _walk(q.head[-1], least[q.end:], ()).head
             q = MonotonePath(q.start, q.head[:-1] + tail)
@@ -918,14 +926,13 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
     width = max(8, (top + 1).bit_length())
     field_mask = (1 << width) - 1
 
-    def hit_masks(i):
-        """{name: one count per path through (layer i, name)}, packed."""
-        masks = {}
-        for j, q in enumerate(paths):
-            name = q.name_at(i)
-            if name is not None or q.covers(i):     # a name may be None itself
-                masks[name] = masks.get(name, 0) + (1 << (width * j))
-        return masks
+    # masks[i]: {name: one count per path through (layer i, name)}, packed;
+    # one pass along each path's names, from its start to depth top
+    masks = [{} for _ in range(top + 1)]
+    for j, q in enumerate(paths):
+        bit = 1 << (width * j)
+        for hits, name in zip(masks[q.start:], chain(q.head, cycle(q.cycle))):
+            hits[name] = hits.get(name, 0) + bit
 
     def score(states):
         best = None
@@ -937,19 +944,18 @@ def spanning_intersection_minima(lg: LayeredGraph, paths, depths=(10, 20, 40)):
         return best
 
     minima = {}
-    masks = hit_masks(0)
-    states = {a: {masks.get(a, 0)} for a in lg.layer(0)}
+    states = {a: {masks[0].get(a, 0)} for a in lg.layer(0)}
     for i in range(top + 1):
         if i in depths:
             minima[i] = score(states)
         if i == top:
             break
         succ = lg.forward_map(i)
-        masks = hit_masks(i + 1)
+        hits = masks[i + 1]
         nxt: dict = {}
         for a, packs in states.items():
             for bb in succ[a]:
-                m = masks.get(bb, 0)
+                m = hits.get(bb, 0)
                 nxt.setdefault(bb, set()).update([p + m for p in packs] if m else packs)
         states = nxt
         if not states:

@@ -513,6 +513,30 @@ def test_grouped_dp_matches_brute_force():
             {d: brute_minimum(lg, paths, d) for d in depths}
 
 
+def test_dp_reads_each_path_from_its_start():
+    # the DP reads each path's names in one pass from its start layer; hand-
+    # built paths start past layer 0 (one with an empty head), end before the
+    # deepest depth, start past it, and carry the name None, on a periodic
+    # graph and on a truncation of it; the brute oracle reads name_at
+    lg = h.LayeredGraph.periodic(
+        [["a", "b"], [None]], [[("a", None), ("b", None)]],
+        [(None, "a"), (None, "b")], prefix_layers=[["a", "b", "c"]],
+        seam=[("a", "a"), ("b", "b"), ("c", "a")])
+    paths = [h.MonotonePath(3, ("b",), (None, "a")),
+             h.MonotonePath(2, (), (None, "b")),
+             h.MonotonePath(1, ("a", None, "b")),
+             h.MonotonePath(0, ("c", "a", None)),
+             h.MonotonePath(14, (None,), ("a", None))]
+    for q in paths:
+        q.validate(lg, depth=16)
+    assert {d: brute_minimum(lg, paths, d) for d in (4, 8)} == {4: 2, 8: 5}
+    # each path alone too, where its own hits set the minima
+    for graph, depths in ((lg, range(9)), (lg.unfold(6), range(7))):
+        for chosen in [paths] + [[q] for q in paths]:
+            assert h.spanning_intersection_minima(graph, chosen, depths) == \
+                {d: brute_minimum(graph, chosen, d) for d in depths}, chosen
+
+
 # ---------------------------------------------------------------- golden digest
 
 

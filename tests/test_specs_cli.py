@@ -270,6 +270,34 @@ def test_cli_deterministic(tmp_path, capsys):
     assert third == fourth
 
 
+def test_cli_reused_parser_keeps_no_state(tmp_path, capsys):
+    # main reuses one parser per process: each call in a sequence prints what
+    # the same call prints alone, with a freshly built parser, down to the
+    # byte; --ball's per-command default and --depth must not carry over
+    path = write_spec(tmp_path, "z.json", Z_SPEC)
+    calls = [["growth", path, "--ball", "3"], ["growth", path],
+             ["growth", path, "--ball", "three"],
+             ["horo", path, "--depth", "9"], ["horo", path]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    alone = []
+    for argv in calls:
+        build_parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 0, 0]
+    assert [json.loads(out)["radius"] for _, out, _ in alone[:2]] == [3, 12]
+    assert json.loads(alone[3][1])["per_radius"][0]["depth"] == 9
+    assert json.loads(alone[4][1])["per_radius"][0]["depth"] == 4
+    assert [run(argv) for argv in calls] == alone
+
+
 def test_cli_out_file(tmp_path, capsys):
     path = write_spec(tmp_path, "z.json", Z_SPEC)
     dest = tmp_path / "report.json"
